@@ -19,10 +19,12 @@ from . import algebras, dualpairs, fusion, surfaces
 from .evaluate import Interpretation, check_relations, eval_term, bend_state, reconstruct_map
 from .exactlin import ShapeError, matrix_from_json, matrix_to_json, scalar_to_str
 from .frobenius import (
+    AxiomReport,
     FrobeniusAlgebra,
     admits_frobenius_form,
     algebra_from_json,
     check_axioms,
+    circle_interpretation,
 )
 from .terms import Signature, TermError, parse_term, signature_from_json, typecheck
 
@@ -160,18 +162,11 @@ def _cmd_invariant(args) -> int:
 def _cmd_relations(args) -> int:
     if args.sig == "bord2":
         # bypass the commutativity gate so that failures are reported, not raised
-        alg = _load_algebra(args.algebra)
-        axioms = check_axioms(alg)
-        if not axioms.is_frobenius:
+        report = check_relations(circle_interpretation(_load_algebra(args.algebra)))
+        if not AxiomReport.from_relations(report).is_frobenius:
             raise _fail(args.algebra, "not a Frobenius algebra; run 'check' for details")
-        interp = Interpretation(
-            surfaces.bord2_signature(),
-            {"S1": alg.dim},
-            {"pants": alg.mu, "copants": alg.delta, "cap": alg.eta, "cup": alg.eps},
-        )
     else:
-        interp = _load_interpretation(args.sig, args.algebra)
-    report = check_relations(interp)
+        report = check_relations(_load_interpretation(args.sig, args.algebra))
     _emit(report.to_json(), args.json, report.describe())
     return 0 if report.ok else 1
 

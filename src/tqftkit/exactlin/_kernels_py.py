@@ -1,10 +1,8 @@
 """Pure-Python exact-arithmetic kernels.
 
-This is the fallback twin of the compiled extension ``_kernels``.  Both
-modules expose the same three functions operating on flat row-major
-parallel arrays of numerators and denominators (Python ints, denominators
-strictly positive, every entry reduced).  Keeping the two implementations
-interchangeable is what allows the backend to be selected at import time.
+The three functions operate on flat row-major parallel arrays of
+numerators and denominators (Python ints, denominators strictly
+positive, every entry reduced).  ``matrix`` wraps them in ``Matrix``.
 """
 
 from math import gcd

@@ -16,23 +16,13 @@ is one; matrices serialize as JSON lists of rows of such strings.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-if os.environ.get("TQFTKIT_PURE"):
-    from . import _kernels_py as _impl
+from ._kernels_py import mat_kron, mat_mul, mat_rank
 
-    BACKEND = "python"
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _kernels_py as _impl
-
-        BACKEND = "python"
+# The kernels are pure Python; the name is kept for reports that record it.
+BACKEND = "python"
 
 Scalar = Fraction
 ScalarLike = Union[Fraction, int, str]
@@ -163,6 +153,12 @@ class Matrix:
                 dens[j * self.rows + i] = self.dens[i * self.cols + j]
         return Matrix._raw(self.cols, self.rows, nums, dens)
 
+    def reshape(self, rows: int, cols: int) -> "Matrix":
+        """The same row-major entries read with a new shape."""
+        if rows < 0 or cols < 0 or rows * cols != self.rows * self.cols:
+            raise ShapeError(f"cannot reshape {self.rows}x{self.cols} to {rows}x{cols}")
+        return Matrix._raw(rows, cols, self.nums, self.dens)
+
     def scale(self, factor: ScalarLike) -> "Matrix":
         f = _as_fraction(factor)
         return Matrix(
@@ -173,6 +169,18 @@ class Matrix:
                 for n, d in zip(self.nums, self.dens)
             ],
         )
+
+    def first_difference(self, other: "Matrix") -> int | None:
+        """Row-major index of the first entry where two matrices of one
+        shape differ, or None when they are equal."""
+        if self.shape != other.shape:
+            raise ShapeError(f"cannot compare {self.rows}x{self.cols} with {other.rows}x{other.cols}")
+        if self == other:
+            return None
+        for k, (n, d) in enumerate(zip(self.nums, self.dens)):
+            if n != other.nums[k] or d != other.dens[k]:
+                return k
+        return None
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and self == Matrix.identity(self.rows)
@@ -204,14 +212,14 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         raise ShapeError(
             f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}"
         )
-    nums, dens = _impl.mat_mul(
+    nums, dens = mat_mul(
         a.rows, a.cols, b.cols, list(a.nums), list(a.dens), list(b.nums), list(b.dens)
     )
     return Matrix._raw(a.rows, b.cols, nums, dens)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    nums, dens = _impl.mat_kron(
+    nums, dens = mat_kron(
         a.rows, a.cols, b.rows, b.cols,
         list(a.nums), list(a.dens), list(b.nums), list(b.dens),
     )
@@ -229,7 +237,7 @@ def swap_matrix(d1: int, d2: int) -> Matrix:
 
 
 def rank(a: Matrix) -> int:
-    return _impl.mat_rank(a.rows, a.cols, list(a.nums), list(a.dens))
+    return mat_rank(a.rows, a.cols, list(a.nums), list(a.dens))
 
 
 def inverse(a: Matrix) -> Matrix:

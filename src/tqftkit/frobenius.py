@@ -8,6 +8,13 @@ the unit, the coproduct tensors against the copairing (the inverse Gram
 matrix), and in the other direction the pairing is the counit of a
 product.  The round trip is exact.
 
+The axioms are not written out here.  They are the relations R1a..R4b
+of the circle signature ``bord2_signature``, run through the evaluator
+by ``check_relations``; ``check_axioms`` reads its report off the
+relation names.  The algebra axioms alone (associativity and a two-sided
+unit) are the same relations on the signature restricted to pants and
+cap.
+
 Morphisms are maps that are simultaneously algebra and coalgebra maps;
 they are automatically invertible, and ``morphism_inverse`` computes the
 inverse by the duality sandwich (copairing of the source, counit-product
@@ -25,9 +32,11 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cache
 from typing import Optional, Sequence
 
+from .evaluate import Interpretation, RelationReport, check_relations
 from .exactlin import (
     Matrix,
     ShapeError,
@@ -39,8 +48,8 @@ from .exactlin import (
     rank,
     scalar_from_str,
     scalar_to_str,
-    swap_matrix,
 )
+from .terms import DualityData, Relation, Signature, Term, parse_term
 
 __all__ = [
     "AxiomReport",
@@ -54,8 +63,10 @@ __all__ = [
     "admits_frobenius_form",
     "algebra_from_json",
     "algebra_to_json",
+    "bord2_signature",
     "check_axioms",
     "check_morphism",
+    "circle_interpretation",
     "from_economy",
     "morphism_inverse",
     "to_economy",
@@ -98,6 +109,69 @@ class NotAFrobeniusMorphism(ValueError):
         super().__init__(
             f"equation {equation_index} fails: {self.EQUATIONS[equation_index - 1]}"
         )
+
+
+@cache
+def bord2_signature() -> Signature:
+    """Circle signature with the eleven relation pairs R1a..R4b."""
+    g0 = ["S1"]
+    g1 = {
+        "pants": (("S1", "S1"), ("S1",)),
+        "copants": (("S1",), ("S1", "S1")),
+        "cap": ((), ("S1",)),
+        "cup": (("S1",), ()),
+    }
+    sig = Signature(g0, g1)
+
+    def t(text: str) -> Term:
+        return parse_term(text, sig)
+
+    frob_left = t("(id[S1] * copants) ; (pants * id[S1])")
+    frob_mid = t("pants ; copants")
+    frob_right = t("(copants * id[S1]) ; (id[S1] * pants)")
+    relations = [
+        Relation("R1a_assoc", t("(pants * id[S1]) ; pants"), t("(id[S1] * pants) ; pants")),
+        Relation("R1b_coassoc", t("copants ; (copants * id[S1])"), t("copants ; (id[S1] * copants)")),
+        Relation("R2a_unit_left", t("(cap * id[S1]) ; pants"), t("id[S1]")),
+        Relation("R2b_unit_right", t("(id[S1] * cap) ; pants"), t("id[S1]")),
+        Relation("R2c_counit_left", t("copants ; (cup * id[S1])"), t("id[S1]")),
+        Relation("R2d_counit_right", t("copants ; (id[S1] * cup)"), t("id[S1]")),
+        Relation("R3a_frobenius", frob_left, frob_mid),
+        Relation("R3b_frobenius", frob_mid, frob_right),
+        Relation("R3c_frobenius", frob_left, frob_right),
+        Relation("R4a_commutative", t("swap[S1,S1] ; pants"), t("pants")),
+        Relation("R4b_cocommutative", t("copants ; swap[S1,S1]"), t("copants")),
+    ]
+    duality = {
+        "S1": DualityData(coev=t("cap ; copants"), pairing=t("pants ; cup"))
+    }
+    return Signature(g0, g1, relations, duality)
+
+
+_ALGEBRA_LAWS = ("R1a_assoc", "R2a_unit_left", "R2b_unit_right")
+
+
+@cache
+def _algebra_signature() -> Signature:
+    """The circle signature restricted to pants and cap, with the
+    associativity and unit relations only."""
+    bord2 = bord2_signature()
+    return Signature(
+        bord2.g0,
+        {name: bord2.g1[name] for name in ("pants", "cap")},
+        [rel for rel in bord2.g2 if rel.name in _ALGEBRA_LAWS],
+    )
+
+
+# AxiomReport field -> the circle relations that state that axiom
+_AXIOM_RELATIONS = {
+    "assoc": ("R1a_assoc",),
+    "unit": ("R2a_unit_left", "R2b_unit_right"),
+    "coassoc": ("R1b_coassoc",),
+    "counit": ("R2c_counit_left", "R2d_counit_right"),
+    "frobenius": ("R3a_frobenius", "R3b_frobenius"),
+    "commutative": ("R4a_commutative",),
+}
 
 
 @dataclass(frozen=True)
@@ -155,51 +229,52 @@ class AxiomReport:
     frobenius: bool
     commutative: bool
 
+    @classmethod
+    def from_relations(cls, report: RelationReport) -> "AxiomReport":
+        """Read the axioms off a report on the circle relations."""
+        failing = set(report.failing())
+        return cls(**{
+            axiom: failing.isdisjoint(names) for axiom, names in _AXIOM_RELATIONS.items()
+        })
+
     @property
     def is_frobenius(self) -> bool:
         """The five structural axioms; commutativity is reported separately."""
         return self.assoc and self.unit and self.coassoc and self.counit and self.frobenius
 
     def to_json(self) -> dict:
-        return {
-            "assoc": self.assoc,
-            "unit": self.unit,
-            "coassoc": self.coassoc,
-            "counit": self.counit,
-            "frobenius": self.frobenius,
-            "commutative": self.commutative,
-        }
+        return asdict(self)
 
     def describe(self) -> str:
         return "\n".join(f"{k}: {'ok' if v else 'FAIL'}" for k, v in self.to_json().items())
 
 
-def check_axioms(alg: FrobeniusAlgebra) -> AxiomReport:
-    n = alg.dim
-    eye = Matrix.identity(n)
-    mu, eta, delta, eps = alg.mu, alg.eta, alg.delta, alg.eps
-    assoc = matmul(mu, kron(mu, eye)) == matmul(mu, kron(eye, mu))
-    unit = matmul(mu, kron(eta, eye)) == eye and matmul(mu, kron(eye, eta)) == eye
-    coassoc = matmul(kron(delta, eye), delta) == matmul(kron(eye, delta), delta)
-    counit = matmul(kron(eps, eye), delta) == eye and matmul(kron(eye, eps), delta) == eye
-    middle = matmul(delta, mu)
-    frobenius = (
-        matmul(kron(mu, eye), kron(eye, delta)) == middle
-        and matmul(kron(eye, mu), kron(delta, eye)) == middle
+def circle_interpretation(alg: FrobeniusAlgebra) -> Interpretation:
+    """Interpretation sending pants, copants, cap, cup to mu, delta, eta,
+    eps, with no axiom checked."""
+    return Interpretation(
+        bord2_signature(),
+        {"S1": alg.dim},
+        {"pants": alg.mu, "copants": alg.delta, "cap": alg.eta, "cup": alg.eps},
     )
-    commutative = matmul(mu, swap_matrix(n, n)) == mu
-    return AxiomReport(assoc, unit, coassoc, counit, frobenius, commutative)
+
+
+def check_axioms(alg: FrobeniusAlgebra) -> AxiomReport:
+    return AxiomReport.from_relations(check_relations(circle_interpretation(alg)))
 
 
 def _check_algebra(dim: int, mu: Matrix, eta: Matrix) -> None:
-    eye = Matrix.identity(dim)
+    if dim < 1:
+        raise ShapeError("dimension must be positive")
     if mu.shape != (dim, dim * dim):
         raise ShapeError(f"mu must be {dim}x{dim * dim}, got {mu.rows}x{mu.cols}")
     if eta.shape != (dim, 1):
         raise ShapeError(f"eta must be {dim}x1, got {eta.rows}x{eta.cols}")
-    if matmul(mu, kron(mu, eye)) != matmul(mu, kron(eye, mu)):
+    interp = Interpretation(_algebra_signature(), {"S1": dim}, {"pants": mu, "cap": eta})
+    failing = check_relations(interp).failing()
+    if "R1a_assoc" in failing:
         raise NotAssociative("product is not associative")
-    if matmul(mu, kron(eta, eye)) != eye or matmul(mu, kron(eye, eta)) != eye:
+    if failing:
         raise NotUnital("eta is not a two-sided unit")
 
 
@@ -225,41 +300,21 @@ def from_economy(
     found = rank(gram)
     if found < dim:
         raise PairingDegenerate(found, dim)
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                lhs = sum(
-                    mu.entry(m, i * dim + j) * gram.entry(m, k) for m in range(dim)
-                )
-                rhs = sum(
-                    mu.entry(m, j * dim + k) * gram.entry(i, m) for m in range(dim)
-                )
-                if lhs != rhs:
-                    raise PairingNotInvariant((i, j, k))
+    eye = Matrix.identity(dim)
+    form = gram.reshape(1, dim * dim)  # <a, b> as a map V (x) V -> k
+    mu_id = kron(mu, eye)
+    # <a.b, c> and <a, b.c> on the basis triple (i, j, k), at i*dim^2 + j*dim + k
+    lhs = matmul(form, mu_id)
+    rhs = matmul(form, kron(eye, mu))
+    differs = lhs.first_difference(rhs)
+    if differs is not None:
+        i, jk = divmod(differs, dim * dim)
+        raise PairingNotInvariant((i, *divmod(jk, dim)))
     # eps(a) = <a, unit>
-    eps = Matrix(
-        1,
-        dim,
-        [
-            sum(gram.entry(k, j) * eta.entry(j, 0) for j in range(dim))
-            for k in range(dim)
-        ],
-    )
+    eps = matmul(form, kron(eye, eta))
     # delta(a) = (mu (x) id)(a (x) c) with c the flattened inverse Gram matrix
-    c = inverse(gram)
-    delta_entries = []
-    for m in range(dim):
-        for j in range(dim):
-            row = []
-            for k in range(dim):
-                row.append(
-                    sum(
-                        c.entry(i, j) * mu.entry(m, k * dim + i)
-                        for i in range(dim)
-                    )
-                )
-            delta_entries.append(row)
-    delta = Matrix.from_rows(delta_entries)
+    c = inverse(gram).reshape(dim * dim, 1)
+    delta = matmul(mu_id, kron(eye, c))
     return FrobeniusAlgebra(
         dim, mu, eta, delta, eps,
         tuple(basis_names) if basis_names is not None else None,
@@ -268,18 +323,7 @@ def from_economy(
 
 def to_economy(alg: FrobeniusAlgebra) -> BilinearPairing:
     """Pairing <a, b> = eps(a.b); nondegenerate whenever the axioms hold."""
-    rows = []
-    for i in range(alg.dim):
-        row = []
-        for j in range(alg.dim):
-            row.append(
-                sum(
-                    alg.eps.entry(0, m) * alg.mu.entry(m, i * alg.dim + j)
-                    for m in range(alg.dim)
-                )
-            )
-        rows.append(row)
-    return BilinearPairing(alg.dim, Matrix.from_rows(rows))
+    return BilinearPairing(alg.dim, matmul(alg.eps, alg.mu).reshape(alg.dim, alg.dim))
 
 
 def check_morphism(source: FrobeniusAlgebra, target: FrobeniusAlgebra, psi: Matrix) -> Optional[int]:
@@ -303,20 +347,18 @@ def morphism_inverse(source: FrobeniusAlgebra, target: FrobeniusAlgebra, psi: Ma
     """Two-sided inverse of a Frobenius morphism by the duality sandwich.
 
     The copairing of the source is threaded through psi on its middle
-    leg and contracted with the counit-product pairing of the target.
+    leg and contracted with the counit-product pairing of the target:
+    as matrices, copairing . psi^T . pairing.  Raises AssertionError
+    naming the composite if the result is not a two-sided inverse.
     """
     failing = check_morphism(source, target, psi)
     if failing is not None:
         raise NotAFrobeniusMorphism(failing)
-    coev = matmul(source.delta, source.eta)  # dim^2 x 1
-    ev = matmul(target.eps, target.mu)  # 1 x dim^2
-    i_src = Matrix.identity(source.dim)
-    i_tgt = Matrix.identity(target.dim)
-    inv = matmul(
-        kron(i_src, ev),
-        matmul(kron(i_src, kron(psi, i_tgt)), kron(coev, i_tgt)),
-    )
-    assert matmul(inv, psi) == i_src and matmul(psi, inv) == i_tgt
+    copairing = matmul(source.delta, source.eta).reshape(source.dim, source.dim)
+    inv = matmul(copairing, matmul(psi.transpose(), to_economy(target).gram))
+    for name, composite in (("inv . psi", matmul(inv, psi)), ("psi . inv", matmul(psi, inv))):
+        if not composite.is_identity():
+            raise AssertionError(f"morphism_inverse: {name} is not the identity")
     return inv
 
 
@@ -330,15 +372,7 @@ def admits_frobenius_form(dim: int, mu: Matrix, eta: Matrix) -> bool:
     """
     _check_algebra(dim, mu, eta)
     for lam in itertools.product(range(dim + 1), repeat=dim):
-        rows = []
-        for i in range(dim):
-            row = []
-            for j in range(dim):
-                row.append(
-                    sum(lam[m] * mu.entry(m, i * dim + j) for m in range(dim))
-                )
-            rows.append(row)
-        if rank(Matrix.from_rows(rows)) == dim:
+        if rank(matmul(Matrix.row(lam), mu).reshape(dim, dim)) == dim:
             return True
     return False
 

@@ -1,6 +1,8 @@
 """Two-dimensional theories: circle signature, surfaces, reductions.
 
-The signature has one object generator ``S1`` and four morphism
+The circle signature ``bord2_signature`` lives in ``frobenius``, whose
+axiom checks run its relations, and is re-exported here.  It has one
+object generator ``S1`` and four morphism
 generators: ``pants`` (two circles merge), ``copants`` (one splits),
 ``cap`` (a disk grows a circle) and ``cup`` (a disk closes one).  Its
 eleven relation pairs make interpretations exactly the commutative
@@ -21,19 +23,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dualpairs import DualPair
-from .evaluate import Interpretation, eval_term
+from .evaluate import Interpretation, check_relations, eval_term
 from .exactlin import Matrix, matmul
-from .frobenius import FrobeniusAlgebra, check_axioms
-from .terms import (
-    Compose,
-    DualityData,
-    Gen,
-    Relation,
-    Signature,
-    Term,
-    parse_term,
-    render_term,
+from .frobenius import (
+    AxiomReport,
+    FrobeniusAlgebra,
+    bord2_signature,
+    check_axioms,
+    circle_interpretation,
 )
+from .terms import Compose, Gen, Term, render_term
 
 __all__ = [
     "ClosedSurface",
@@ -71,57 +70,16 @@ def _genus_of(surface: "ClosedSurface | int") -> int:
     return surface
 
 
-_SIG_CACHE: Signature | None = None
-
-
-def bord2_signature() -> Signature:
-    """Circle signature with the eleven relation pairs R1a..R4b."""
-    global _SIG_CACHE
-    if _SIG_CACHE is not None:
-        return _SIG_CACHE
-    g0 = ["S1"]
-    g1 = {
-        "pants": (("S1", "S1"), ("S1",)),
-        "copants": (("S1",), ("S1", "S1")),
-        "cap": ((), ("S1",)),
-        "cup": (("S1",), ()),
-    }
-    sig = Signature(g0, g1)
-
-    def t(text: str) -> Term:
-        return parse_term(text, sig)
-
-    frob_left = t("(id[S1] * copants) ; (pants * id[S1])")
-    frob_mid = t("pants ; copants")
-    frob_right = t("(copants * id[S1]) ; (id[S1] * pants)")
-    relations = [
-        Relation("R1a_assoc", t("(pants * id[S1]) ; pants"), t("(id[S1] * pants) ; pants")),
-        Relation("R1b_coassoc", t("copants ; (copants * id[S1])"), t("copants ; (id[S1] * copants)")),
-        Relation("R2a_unit_left", t("(cap * id[S1]) ; pants"), t("id[S1]")),
-        Relation("R2b_unit_right", t("(id[S1] * cap) ; pants"), t("id[S1]")),
-        Relation("R2c_counit_left", t("copants ; (cup * id[S1])"), t("id[S1]")),
-        Relation("R2d_counit_right", t("copants ; (id[S1] * cup)"), t("id[S1]")),
-        Relation("R3a_frobenius", frob_left, frob_mid),
-        Relation("R3b_frobenius", frob_mid, frob_right),
-        Relation("R3c_frobenius", frob_left, frob_right),
-        Relation("R4a_commutative", t("swap[S1,S1] ; pants"), t("pants")),
-        Relation("R4b_cocommutative", t("copants ; swap[S1,S1]"), t("copants")),
-    ]
-    duality = {
-        "S1": DualityData(coev=t("cap ; copants"), pairing=t("pants ; cup"))
-    }
-    _SIG_CACHE = Signature(g0, g1, relations, duality)
-    return _SIG_CACHE
-
-
 def frobenius_interpretation(alg: FrobeniusAlgebra) -> Interpretation:
     """Interpretation sending pants, copants, cap, cup to mu, delta, eta, eps.
 
     Requires all axioms including commutativity; a commutative Frobenius
     algebra passes every relation of the signature, a noncommutative one
-    fails exactly the two R4 pairs.
+    fails exactly the two R4 pairs.  The relations are checked once and
+    the gate reads the axioms off that report.
     """
-    report = check_axioms(alg)
+    interp = circle_interpretation(alg)
+    report = AxiomReport.from_relations(check_relations(interp))
     if not report.is_frobenius:
         bad = [k for k, v in report.to_json().items() if not v and k != "commutative"]
         raise ValueError(f"not a Frobenius algebra, failing axioms: {', '.join(bad)}")
@@ -129,11 +87,7 @@ def frobenius_interpretation(alg: FrobeniusAlgebra) -> Interpretation:
         raise NotCommutative(
             "algebra is not commutative; the R4 relations would fail"
         )
-    return Interpretation(
-        bord2_signature(),
-        {"S1": alg.dim},
-        {"pants": alg.mu, "copants": alg.delta, "cap": alg.eta, "cup": alg.eps},
-    )
+    return interp
 
 
 def genus_term(surface: ClosedSurface | int) -> Term:

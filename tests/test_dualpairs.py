@@ -71,6 +71,17 @@ class TestDualPair:
         with pytest.raises(ZorroViolation):
             DualPair(1, 2, b, d)
 
+    def test_violation_names_the_failing_relation(self):
+        good = standard_pair(2)
+        with pytest.raises(ZorroViolation) as err:
+            DualPair(2, 2, good.b.scale(2), good.d)
+        assert err.value.side == "snake_pp"
+        # rectangular: b . d is the identity on U but d . b is not on V
+        with pytest.raises(ZorroViolation) as err:
+            DualPair(1, 2, Matrix(2, 1, [1, 0]), Matrix(1, 2, [1, 0]))
+        assert err.value.side == "snake_pm"
+        assert "snake_pm" in str(err.value)
+
     def test_interpretation_passes_relations(self):
         for n in (1, 2, 3):
             interp = dual_pair_interpretation(standard_pair(n))

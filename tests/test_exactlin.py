@@ -167,6 +167,25 @@ class TestInverse:
             inverse(Matrix.from_rows([[1, 2], [2, 4]]))
 
 
+class TestReshape:
+    def test_reads_the_same_row_major_entries(self):
+        m = Matrix.from_rows([[1, 2, 3], [4, 5, Fraction(1, 6)]])
+        assert m.reshape(3, 2) == Matrix.from_rows([[1, 2], [3, 4], [5, Fraction(1, 6)]])
+        assert m.reshape(1, 6) == Matrix.row([1, 2, 3, 4, 5, Fraction(1, 6)])
+        assert m.reshape(6, 1).reshape(2, 3) == m
+
+    def test_size_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            Matrix.identity(2).reshape(3, 1)
+
+    def test_first_difference(self):
+        a = Matrix.from_rows([[1, 2], [3, 4]])
+        assert a.first_difference(a) is None
+        assert a.first_difference(Matrix.from_rows([[1, 2], [Fraction(3, 2), 0]])) == 2
+        with pytest.raises(ShapeError):
+            a.first_difference(a.reshape(1, 4))
+
+
 class TestSerialization:
     def test_scalar_round_trip(self):
         for text in ["0", "7", "-3", "1/3", "-22/7"]:

@@ -15,7 +15,7 @@ from tqftkit.algebras import (
     trivial_algebra,
     upper_triangular_algebra,
 )
-from tqftkit.exactlin import Matrix, inverse, kron, matmul, rank
+from tqftkit.exactlin import Matrix, ShapeError, inverse, kron, matmul, rank
 from tqftkit.frobenius import (
     BilinearPairing,
     FrobeniusAlgebra,
@@ -101,6 +101,13 @@ class TestFromEconomy:
         eta = Matrix(2, 1, [1, 0])
         with pytest.raises((NotAssociative, NotUnital)):
             from_economy(2, mu, eta, BilinearPairing(2, Matrix.identity(2)))
+
+    def test_zero_dimension_rejected(self):
+        empty = Matrix(0, 0, [])
+        with pytest.raises(ShapeError, match="dimension must be positive"):
+            from_economy(0, empty, Matrix(0, 1, []), BilinearPairing(0, empty))
+        with pytest.raises(ShapeError, match="dimension must be positive"):
+            admits_frobenius_form(0, empty, Matrix(0, 1, []))
 
     def test_noncommutative_economy_works(self):
         # the conversion does not need commutativity

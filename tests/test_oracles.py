@@ -1,0 +1,275 @@
+"""The law checks and structure maps against hand-written references.
+
+The references are the explicit formulas and ``entry()`` loops that
+``check_axioms``, ``from_economy``, ``to_economy`` and the
+``admits_frobenius_form`` grid used before they were written as relation
+checks and matrix products.  Gaussian elimination is the oracle for the
+duality-sandwich inverses.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from conftest import eleven_algebras
+from tqftkit import dualpairs, evaluate, frobenius
+from tqftkit.algebras import (
+    cyclic_group,
+    group_algebra,
+    milnor_ring,
+    symmetric_group,
+    upper_triangular_algebra,
+)
+from tqftkit.dualpairs import DualPair, dp_morphism_inverse, standard_pair
+from tqftkit.evaluate import check_relations
+from tqftkit.exactlin import Matrix, inverse, kron, matmul, rank, swap_matrix
+from tqftkit.frobenius import (
+    BilinearPairing,
+    FrobeniusAlgebra,
+    NotAssociative,
+    NotUnital,
+    PairingDegenerate,
+    PairingNotInvariant,
+    admits_frobenius_form,
+    check_axioms,
+    from_economy,
+    morphism_inverse,
+    to_economy,
+)
+from tqftkit.surfaces import frobenius_interpretation
+
+
+# --- references ------------------------------------------------------------
+
+
+def reference_axioms(alg):
+    n = alg.dim
+    eye = Matrix.identity(n)
+    mu, eta, delta, eps = alg.mu, alg.eta, alg.delta, alg.eps
+    middle = matmul(delta, mu)
+    return {
+        "assoc": matmul(mu, kron(mu, eye)) == matmul(mu, kron(eye, mu)),
+        "unit": matmul(mu, kron(eta, eye)) == eye and matmul(mu, kron(eye, eta)) == eye,
+        "coassoc": matmul(kron(delta, eye), delta) == matmul(kron(eye, delta), delta),
+        "counit": matmul(kron(eps, eye), delta) == eye and matmul(kron(eye, eps), delta) == eye,
+        "frobenius": matmul(kron(mu, eye), kron(eye, delta)) == middle
+        and matmul(kron(eye, mu), kron(delta, eye)) == middle,
+        "commutative": matmul(mu, swap_matrix(n, n)) == mu,
+    }
+
+
+def reference_check_algebra(dim, mu, eta):
+    eye = Matrix.identity(dim)
+    if matmul(mu, kron(mu, eye)) != matmul(mu, kron(eye, mu)):
+        raise NotAssociative("product is not associative")
+    if matmul(mu, kron(eta, eye)) != eye or matmul(mu, kron(eye, eta)) != eye:
+        raise NotUnital("eta is not a two-sided unit")
+
+
+def reference_from_economy(dim, mu, eta, pairing):
+    reference_check_algebra(dim, mu, eta)
+    gram = pairing.gram
+    found = rank(gram)
+    if found < dim:
+        raise PairingDegenerate(found, dim)
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                lhs = sum(mu.entry(m, i * dim + j) * gram.entry(m, k) for m in range(dim))
+                rhs = sum(mu.entry(m, j * dim + k) * gram.entry(i, m) for m in range(dim))
+                if lhs != rhs:
+                    raise PairingNotInvariant((i, j, k))
+    eps = Matrix(
+        1, dim, [sum(gram.entry(k, j) * eta.entry(j, 0) for j in range(dim)) for k in range(dim)]
+    )
+    c = inverse(gram)
+    delta = Matrix.from_rows(
+        [
+            [sum(c.entry(i, j) * mu.entry(m, k * dim + i) for i in range(dim)) for k in range(dim)]
+            for m in range(dim)
+            for j in range(dim)
+        ]
+    )
+    return FrobeniusAlgebra(dim, mu, eta, delta, eps)
+
+
+def reference_to_economy(alg):
+    n = alg.dim
+    return Matrix.from_rows(
+        [
+            [sum(alg.eps.entry(0, m) * alg.mu.entry(m, i * n + j) for m in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+    )
+
+
+def reference_grid_gram(dim, mu, lam):
+    return Matrix.from_rows(
+        [
+            [sum(lam[m] * mu.entry(m, i * dim + j) for m in range(dim)) for j in range(dim)]
+            for i in range(dim)
+        ]
+    )
+
+
+def reference_admits(dim, mu, eta):
+    reference_check_algebra(dim, mu, eta)
+    return any(
+        rank(reference_grid_gram(dim, mu, lam)) == dim
+        for lam in itertools.product(range(dim + 1), repeat=dim)
+    )
+
+
+def outcome(build):
+    """The built algebra's delta and eps, or the rejection it raised."""
+    try:
+        alg = build()
+    except (PairingDegenerate, PairingNotInvariant, NotAssociative, NotUnital) as exc:
+        return type(exc).__name__, getattr(exc, "witness", None), str(exc)
+    return alg.delta, alg.eps
+
+
+def bumped(m, k):
+    """``m`` with its k-th row-major entry increased by one."""
+    flat = [x for row in m.to_lists() for x in row]
+    flat[k] += 1
+    return Matrix(m.rows, m.cols, flat)
+
+
+def one_entry_variants(alg):
+    for field in ("mu", "eta", "delta", "eps"):
+        m = getattr(alg, field)
+        for k in range(m.rows * m.cols):
+            parts = {f: getattr(alg, f) for f in ("mu", "eta", "delta", "eps")}
+            parts[field] = bumped(m, k)
+            yield f"{field}[{k}]", FrobeniusAlgebra(alg.dim, **parts)
+
+
+# --- axioms ----------------------------------------------------------------
+
+
+def test_axiom_report_matches_formulas_on_zoo_and_s3():
+    cases = eleven_algebras() + [("s3", group_algebra(symmetric_group(3)))]
+    for name, alg in cases:
+        assert check_axioms(alg).to_json() == reference_axioms(alg), name
+
+
+@pytest.mark.parametrize("name,alg", [
+    ("z3", group_algebra(cyclic_group(3))),
+    ("milnor:4", milnor_ring(4)),
+])
+def test_axiom_report_matches_formulas_on_one_entry_perturbations(name, alg):
+    failing_somewhere = set()
+    for where, variant in one_entry_variants(alg):
+        expected = reference_axioms(variant)
+        assert check_axioms(variant).to_json() == expected, (name, where)
+        failing_somewhere.update(k for k, ok in expected.items() if not ok)
+    # the perturbations exercise every axiom except commutativity, which
+    # a single bumped entry of mu can only break in a noncommutative way
+    assert {"assoc", "unit", "coassoc", "counit", "frobenius"} <= failing_somewhere
+
+
+def test_check_relations_evaluates_each_distinct_side_once(monkeypatch):
+    interp = frobenius_interpretation(group_algebra(cyclic_group(2)))
+    seen = []
+    real = evaluate.eval_term
+
+    def counting(t, i):
+        seen.append(t)
+        return real(t, i)
+
+    monkeypatch.setattr(evaluate, "eval_term", counting)
+    report = check_relations(interp)
+    assert report.ok and len(report.checks) == 11
+    assert len(seen) == 16 and len(set(seen)) == 16
+
+
+# --- economy conversions and the grid --------------------------------------
+
+
+def test_economy_conversions_match_loops_on_zoo():
+    for name, alg in eleven_algebras():
+        gram = to_economy(alg).gram
+        assert gram == reference_to_economy(alg), name
+        pairing = BilinearPairing(alg.dim, gram)
+        assert outcome(lambda: from_economy(alg.dim, alg.mu, alg.eta, pairing)) == outcome(
+            lambda: reference_from_economy(alg.dim, alg.mu, alg.eta, pairing)
+        ), name
+
+
+def test_from_economy_matches_loops_on_random_pairings():
+    rng = random.Random(2024)
+    tried = {"invariant": 0, "not invariant": 0}
+    for name, alg in eleven_algebras():
+        n = alg.dim
+        for _ in range(6):
+            lam = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+            invariant = reference_grid_gram(n, alg.mu, lam)
+            generic = Matrix(n, n, [rng.randint(-2, 2) for _ in range(n * n)])
+            for kind, gram in (("invariant", invariant), ("not invariant", generic)):
+                pairing = BilinearPairing(n, gram)
+                got = outcome(lambda: from_economy(n, alg.mu, alg.eta, pairing))
+                want = outcome(lambda: reference_from_economy(n, alg.mu, alg.eta, pairing))
+                assert got == want, (name, kind, lam)
+                if kind == "invariant" or got[0] == "PairingNotInvariant":
+                    tried[kind] += 1
+    assert tried["invariant"] > 20 and tried["not invariant"] > 20
+
+
+def test_grid_search_matches_loops():
+    cases = [upper_triangular_algebra()] + [(a.dim, a.mu, a.eta) for _, a in eleven_algebras()]
+    for dim, mu, eta in cases:
+        assert admits_frobenius_form(dim, mu, eta) == reference_admits(dim, mu, eta)
+
+
+# --- inverses --------------------------------------------------------------
+
+
+def test_morphism_inverse_matches_gaussian_elimination():
+    for name, alg in eleven_algebras():
+        n = alg.dim
+        eye = Matrix.identity(n)
+        assert morphism_inverse(alg, alg, eye) == inverse(eye), name
+    z5 = group_algebra(cyclic_group(5))
+    for k in (2, 3, 4):
+        # x -> x^k permutes the group basis and is a Frobenius automorphism
+        psi = Matrix.from_rows([[int((k * j) % 5 == i) for j in range(5)] for i in range(5)])
+        assert morphism_inverse(z5, z5, psi) == inverse(psi), k
+
+
+def test_dp_morphism_inverse_matches_gaussian_elimination_across_pairs():
+    rng = random.Random(99)
+    p = standard_pair(2)
+    m = Matrix.from_rows([[2, 1], [1, 1]])
+    q = DualPair(2, 2, m.reshape(4, 1), inverse(m).reshape(1, 4))
+    produced = 0
+    while produced < 8:
+        f = Matrix(2, 2, [rng.randint(-3, 3) for _ in range(4)])
+        if rank(f) < 2:
+            continue
+        # with b_p = id and b_q = m, (f (x) g) b_p = b_q reads f . g^T = m
+        g = matmul(inverse(f), m).transpose()
+        assert dualpairs.dp_morphism_check(p, q, f, g)
+        f_inv, g_inv = dp_morphism_inverse(p, q, f, g)
+        assert f_inv == inverse(f) and g_inv == inverse(g)
+        produced += 1
+
+
+# --- post-conditions -------------------------------------------------------
+
+
+def test_morphism_inverse_postcondition_raises(monkeypatch):
+    z2 = group_algebra(cyclic_group(2))
+    monkeypatch.setattr(frobenius, "check_morphism", lambda *args: None)
+    with pytest.raises(AssertionError, match=r"inv \. psi is not the identity"):
+        morphism_inverse(z2, z2, Matrix.identity(2).scale(2))
+
+
+def test_dp_morphism_inverse_postcondition_raises(monkeypatch):
+    p = standard_pair(2)
+    monkeypatch.setattr(dualpairs, "dp_morphism_check", lambda *args: True)
+    twice = Matrix.identity(2).scale(2)
+    with pytest.raises(AssertionError, match=r"f_inv \. f is not the identity"):
+        dp_morphism_inverse(p, p, twice, twice)

@@ -53,6 +53,12 @@ class TestSignature:
         sig = bord2_signature()
         assert len(sig.g2) == 11
 
+    def test_one_signature_shared_with_frobenius(self):
+        from tqftkit import frobenius
+
+        assert bord2_signature is frobenius.bord2_signature
+        assert bord2_signature() is bord2_signature()
+
     def test_relation_pairs_typecheck_with_equal_endpoints(self):
         sig = bord2_signature()
         for rel in sig.g2:
