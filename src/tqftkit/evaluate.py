@@ -17,10 +17,13 @@ both are checked here.
 The module also implements the closed-state calculus: ``bend_state``
 turns a map E -> F into a state () -> F . E* by precomposing with the
 designated coevaluation of E, and ``reconstruct_map`` contracts such a
-state back into a map using the designated pairing.  Designated duality
-terms live in the signature, one pair per (self-dual) object label; for
-compound words they are assembled by nesting, innermost factors last,
-which keeps the snake identities exact without any permutations.
+state back into a map using the designated pairing.  Both contract by
+reshaped products (the map times the coevaluation read as a square
+matrix, the state read as a matrix times the pairing read as one), never
+by Kronecker products with identities.  Designated duality terms live in
+the signature, one pair per (self-dual) object label; for compound words
+they are assembled by nesting, innermost factors last, which keeps the
+snake identities exact without any permutations.
 """
 
 from __future__ import annotations
@@ -194,76 +197,51 @@ def check_relations(interp: Interpretation) -> RelationReport:
     return RelationReport(tuple(checks))
 
 
-def _duality_terms(
-    sig: Signature,
-    coev: Optional[Mapping[str, Term]],
-    pairing: Optional[Mapping[str, Term]],
-) -> tuple[dict[str, Term], dict[str, Term]]:
-    coev_map = {label: d.coev for label, d in sig.duality.items()}
-    pairing_map = {label: d.pairing for label, d in sig.duality.items()}
-    if coev:
-        coev_map.update(coev)
-    if pairing:
-        pairing_map.update(pairing)
-    return coev_map, pairing_map
-
-
-def coev_term(word: ObjectWord, sig: Signature, coev: Optional[Mapping[str, Term]] = None) -> Term:
+def coev_term(word: ObjectWord, sig: Signature) -> Term:
     """Coevaluation () -> word . reverse(word), nested from the outside in."""
-    coev_map, _ = _duality_terms(sig, coev, None)
-    return _coev(word, coev_map)
-
-
-def _coev(word: ObjectWord, coev_map: Mapping[str, Term]) -> Term:
     if not word:
         return Id(())
     head, rest = word[0], word[1:]
-    if head not in coev_map:
+    if head not in sig.duality:
         raise MissingDuality(head)
-    base = coev_map[head]
+    base = sig.duality[head].coev
     if not rest:
         return base
-    inner = _coev(rest, coev_map)
+    inner = coev_term(rest, sig)
     return Compose(base, Tensor(Id((head,)), Tensor(inner, Id((head,)))))
 
 
-def pairing_term(word: ObjectWord, sig: Signature, pairing: Optional[Mapping[str, Term]] = None) -> Term:
+def pairing_term(word: ObjectWord, sig: Signature) -> Term:
     """Pairing reverse(word) . word -> (), the mate of ``coev_term``."""
-    _, pairing_map = _duality_terms(sig, None, pairing)
-    return _pairing(word, pairing_map)
-
-
-def _pairing(word: ObjectWord, pairing_map: Mapping[str, Term]) -> Term:
     if not word:
         return Id(())
     head, rest = word[0], word[1:]
-    if head not in pairing_map:
+    if head not in sig.duality:
         raise MissingDuality(head)
-    base = pairing_map[head]
+    base = sig.duality[head].pairing
     if not rest:
         return base
-    inner = _pairing(rest, pairing_map)
+    inner = pairing_term(rest, sig)
     rest_rev = tuple(reversed(rest))
     return Compose(Tensor(Id(rest_rev), Tensor(base, Id(rest))), inner)
 
 
-def bend_state(
-    t: Term,
-    interp: Interpretation,
-    coev: Optional[Mapping[str, Term]] = None,
-    pairing: Optional[Mapping[str, Term]] = None,
-) -> Matrix:
+def bend_state(t: Term, interp: Interpretation) -> Matrix:
     """State () -> target . reverse(source) obtained by bending the source.
 
-    For ``t: E -> F`` this evaluates ``coev_E ; (t * id)``, a column of
-    length dim(F) * dim(E).  A term with empty source is already a state
-    and is returned as its own evaluation.
+    For ``t: E -> F`` this is ``coev_E ; (t * id)``, a column of length
+    dim(F) * dim(E), computed as the reshaped product
+    ``eval(t) . coev_E`` with coev_E read as a dim(E) x dim(E) matrix.  A
+    term with empty source is already a state and is returned as its own
+    evaluation.
     """
     src, _ = typecheck(t, interp.sig)
     if not src:
-        return eval_term(t, interp)
-    bent = Compose(coev_term(src, interp.sig, coev), Tensor(t, Id(tuple(reversed(src)))))
-    return eval_term(bent, interp)
+        return _eval(t, interp)
+    coev = eval_term(coev_term(src, interp.sig), interp)
+    m = _eval(t, interp)
+    d_src = m.cols
+    return matmul(m, coev.reshape(d_src, d_src)).reshape(m.rows * d_src, 1)
 
 
 def reconstruct_map(
@@ -271,15 +249,15 @@ def reconstruct_map(
     source: ObjectWord,
     target: ObjectWord,
     interp: Interpretation,
-    pairing: Optional[Mapping[str, Term]] = None,
 ) -> Matrix:
     """Recover the map dim(target) x dim(source) from its bent state.
 
-    The state column is tensored with an identity on the source and the
-    dangling reverse(source) . source legs are contracted away with the
-    designated pairing; composing with ``bend_state`` is the identity on
-    well-typed terms whenever the designated duality terms satisfy the
-    snake identities.
+    The dangling reverse(source) . source legs are contracted away with
+    the designated pairing, as the reshaped product of the state read as
+    a dim(target) x dim(source) matrix and the pairing read as a
+    dim(source) x dim(source) one; composing with ``bend_state`` is the
+    identity on well-typed terms whenever the designated duality terms
+    satisfy the snake identities.
     """
     d_src = interp.dim(source)
     d_tgt = interp.dim(target)
@@ -290,6 +268,5 @@ def reconstruct_map(
         )
     if not source:
         return state
-    d = eval_term(pairing_term(source, interp.sig, pairing), interp)
-    contract = kron(Matrix.identity(d_tgt), d)
-    return matmul(contract, kron(state, Matrix.identity(d_src)))
+    pairing = eval_term(pairing_term(source, interp.sig), interp)
+    return matmul(state.reshape(d_tgt, d_src), pairing.reshape(d_src, d_src))

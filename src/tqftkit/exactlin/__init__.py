@@ -1,4 +1,10 @@
-"""Exact rational scalars and dense linear algebra kernels."""
+"""Exact rational scalars and dense linear algebra.
+
+Everything lives in ``matrix``: a ``Matrix`` is one row-major tuple of
+integer numerators over one positive common denominator, kept in lowest
+terms, and its kernels (product, Kronecker product, rank, inverse) work
+on those integers directly.
+"""
 
 from .matrix import (
     BACKEND,

@@ -1,9 +1,17 @@
 """Dense matrices over the exact rationals.
 
+A ``Matrix`` stores its entries as one row-major tuple ``nums`` of
+integer numerators over one common denominator ``den > 0``, in lowest
+terms: ``gcd(den, *nums) == 1``, so the zero matrix has ``den == 1`` and
+two equal matrices have equal fields.  Entry ``(i, j)`` is
+``Fraction(nums[i * cols + j], den)``.  The kernels below work on the
+integers directly and normalise once per result; no kernel builds a
+``Fraction`` per entry.  Matrices are immutable and may have zero rows
+or columns.
+
 Scalars are ``fractions.Fraction`` (arbitrary precision, denominator
-positive, always reduced, zero is 0/1).  Matrices are immutable,
-row-major, and may have zero rows or columns.  Index conventions are
-fixed once here and used by every higher layer:
+positive, always reduced, zero is 0/1).  Index conventions are fixed
+once here and used by every higher layer:
 
 * ``kron(a, b)`` sends row pair ``(i_a, i_b)`` to ``i_a * b.rows + i_b``
   and columns likewise.
@@ -17,9 +25,9 @@ is one; matrices serialize as JSON lists of rows of such strings.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
-
-from ._kernels_py import mat_kron, mat_mul, mat_rank
 
 # The kernels are pure Python; the name is kept for reports that record it.
 BACKEND = "python"
@@ -59,40 +67,55 @@ def _as_fraction(x: ScalarLike) -> Fraction:
 class Matrix:
     """An immutable rows-by-cols matrix of exact rationals.
 
-    Entries are stored as parallel flat tuples of numerators and
-    denominators so the arithmetic kernels can run without boxing.
+    ``nums`` is the row-major tuple of integer numerators and ``den`` the
+    one positive common denominator, with ``gcd(den, *nums) == 1``.
     """
 
-    __slots__ = ("rows", "cols", "nums", "dens")
+    __slots__ = ("rows", "cols", "nums", "den")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[ScalarLike]):
         if rows < 0 or cols < 0:
             raise ShapeError(f"negative shape {rows}x{cols}")
+        # two int lists rather than one Fraction per entry: wide matrices
+        # have millions of entries
         nums = []
         dens = []
         for x in entries:
-            f = _as_fraction(x)
-            nums.append(f.numerator)
-            dens.append(f.denominator)
+            if not isinstance(x, (int, Fraction)):
+                x = _as_fraction(x)
+            nums.append(x.numerator)
+            dens.append(x.denominator)
         if len(nums) != rows * cols:
             raise ShapeError(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(nums)}"
             )
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "nums", tuple(nums))
-        object.__setattr__(self, "dens", tuple(dens))
+        den = lcm(*dens)
+        if den != 1:
+            nums = [n * (den // d) for n, d in zip(nums, dens)]
+        Matrix._init(self, rows, cols, nums, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
+    def _init(self, rows: int, cols: int, nums, den: int) -> None:
+        if den != 1:
+            if den < 0:
+                den = -den
+                nums = [-x for x in nums]
+            g = gcd(den, *nums)
+            if g != 1:
+                den //= g
+                nums = [x // g for x in nums]
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
+
     @classmethod
-    def _raw(cls, rows: int, cols: int, nums, dens) -> "Matrix":
+    def _raw(cls, rows: int, cols: int, nums, den: int = 1) -> "Matrix":
+        """The matrix ``nums / den``, brought to lowest terms."""
         m = cls.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "nums", tuple(nums))
-        object.__setattr__(m, "dens", tuple(dens))
+        m._init(rows, cols, nums, den)
         return m
 
     @classmethod
@@ -109,13 +132,12 @@ class Matrix:
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         nums = [0] * (n * n)
-        for i in range(n):
-            nums[i * n + i] = 1
-        return cls._raw(n, n, nums, [1] * (n * n))
+        nums[:: n + 1] = [1] * n
+        return cls._raw(n, n, nums)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls._raw(rows, cols, [0] * (rows * cols), [1] * (rows * cols))
+        return cls._raw(rows, cols, (0,) * (rows * cols))
 
     @classmethod
     def column(cls, values: Sequence[ScalarLike]) -> "Matrix":
@@ -136,8 +158,7 @@ class Matrix:
     def entry(self, i: int, j: int) -> Fraction:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"({i},{j}) outside {self.rows}x{self.cols}")
-        k = i * self.cols + j
-        return Fraction(self.nums[k], self.dens[k])
+        return Fraction(self.nums[i * self.cols + j], self.den)
 
     def to_lists(self) -> list[list[Fraction]]:
         return [
@@ -145,29 +166,22 @@ class Matrix:
         ]
 
     def transpose(self) -> "Matrix":
-        nums = [0] * (self.rows * self.cols)
-        dens = [1] * (self.rows * self.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                nums[j * self.rows + i] = self.nums[i * self.cols + j]
-                dens[j * self.rows + i] = self.dens[i * self.cols + j]
-        return Matrix._raw(self.cols, self.rows, nums, dens)
+        nums = []
+        for j in range(self.cols):
+            nums += self.nums[j :: self.cols]
+        return Matrix._raw(self.cols, self.rows, nums, self.den)
 
     def reshape(self, rows: int, cols: int) -> "Matrix":
         """The same row-major entries read with a new shape."""
         if rows < 0 or cols < 0 or rows * cols != self.rows * self.cols:
             raise ShapeError(f"cannot reshape {self.rows}x{self.cols} to {rows}x{cols}")
-        return Matrix._raw(rows, cols, self.nums, self.dens)
+        return Matrix._raw(rows, cols, self.nums, self.den)
 
     def scale(self, factor: ScalarLike) -> "Matrix":
         f = _as_fraction(factor)
-        return Matrix(
-            self.rows,
-            self.cols,
-            [
-                Fraction(n, d) * f
-                for n, d in zip(self.nums, self.dens)
-            ],
+        p = f.numerator
+        return Matrix._raw(
+            self.rows, self.cols, [p * x for x in self.nums], self.den * f.denominator
         )
 
     def first_difference(self, other: "Matrix") -> int | None:
@@ -177,8 +191,9 @@ class Matrix:
             raise ShapeError(f"cannot compare {self.rows}x{self.cols} with {other.rows}x{other.cols}")
         if self == other:
             return None
-        for k, (n, d) in enumerate(zip(self.nums, self.dens)):
-            if n != other.nums[k] or d != other.dens[k]:
+        da, db = self.den, other.den
+        for k, (x, y) in enumerate(zip(self.nums, other.nums)):
+            if x * db != y * da:
                 return k
         return None
 
@@ -191,12 +206,12 @@ class Matrix:
         return (
             self.rows == other.rows
             and self.cols == other.cols
+            and self.den == other.den
             and self.nums == other.nums
-            and self.dens == other.dens
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.nums, self.dens))
+        return hash((self.rows, self.cols, self.nums, self.den))
 
     def __repr__(self) -> str:
         body = "; ".join(
@@ -207,23 +222,50 @@ class Matrix:
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product; raises ShapeError naming both shapes on mismatch."""
+    """Matrix product; raises ShapeError naming both shapes on mismatch.
+
+    Each nonzero ``x`` of row i of ``a``, at column t, adds ``x`` times the
+    nonzeros of row t of ``b`` into an integer row; the matrices arising
+    from string-diagram evaluation are mostly sparse permutation blocks.
+    """
     if a.cols != b.rows:
         raise ShapeError(
             f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}"
         )
-    nums, dens = mat_mul(
-        a.rows, a.cols, b.cols, list(a.nums), list(a.dens), list(b.nums), list(b.dens)
-    )
-    return Matrix._raw(a.rows, b.cols, nums, dens)
+    n, k, m = a.rows, a.cols, b.cols
+    an, bn = a.nums, b.nums
+    cols = range(m)
+    brows = []  # row t of b as (column, value) pairs of its nonzeros
+    for t in range(k):
+        row = bn[t * m : (t + 1) * m]
+        brows.append(tuple(zip(compress(cols, row), compress(row, row))))
+    out = []
+    for i in range(n):
+        arow = an[i * k : (i + 1) * k]
+        acc = [0] * m
+        for x, brow in compress(zip(arow, brows), arow):
+            for j, y in brow:
+                acc[j] += x * y
+        out += acc
+    return Matrix._raw(n, m, out, a.den * b.den)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    nums, dens = mat_kron(
-        a.rows, a.cols, b.rows, b.cols,
-        list(a.nums), list(a.dens), list(b.nums), list(b.dens),
-    )
-    return Matrix._raw(a.rows * b.rows, a.cols * b.cols, nums, dens)
+    ca, rb, cb = a.cols, b.rows, b.cols
+    zero = (0,) * cb
+    brows = [b.nums[t * cb : (t + 1) * cb] for t in range(rb)]
+    out = []
+    for i in range(a.rows):
+        arow = a.nums[i * ca : (i + 1) * ca]
+        for brow in brows:
+            for x in arow:
+                if not x:
+                    out += zero
+                elif x == 1:
+                    out += brow
+                else:
+                    out += [x * y for y in brow]
+    return Matrix._raw(a.rows * rb, ca * cb, out, a.den * b.den)
 
 
 def swap_matrix(d1: int, d2: int) -> Matrix:
@@ -233,38 +275,69 @@ def swap_matrix(d1: int, d2: int) -> Matrix:
     for i in range(d1):
         for j in range(d2):
             nums[(j * d1 + i) * n + (i * d2 + j)] = 1
-    return Matrix._raw(n, n, nums, [1] * (n * n))
+    return Matrix._raw(n, n, nums)
+
+
+def _reduce(rows: list[list[int]], ncols: int) -> tuple[int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of integer rows, in
+    place, pivoting on the first ``ncols`` columns.
+
+    Each step updates every other row as ``(piv * x - head * y) // prev``
+    with ``prev`` the previous pivot; every entry stays a minor of the
+    input, so each division is exact.  Returns the rank and the last
+    pivot.  When the first ``ncols`` columns have full rank n = len(rows),
+    that block ends as ``last_pivot * I``.
+    """
+    n = len(rows)
+    r = 0
+    prev = 1
+    for col in range(ncols):
+        if r == n:
+            break
+        p = r
+        while p < n and not rows[p][col]:
+            p += 1
+        if p == n:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        prow = rows[r]
+        piv = prow[col]
+        for i in range(n):
+            if i == r:
+                continue
+            row = rows[i]
+            head = row[col]
+            if head:
+                rows[i] = [(piv * x - head * y) // prev for x, y in zip(row, prow)]
+            elif piv != prev:
+                rows[i] = [piv * x // prev for x in row]
+        prev = piv
+        r += 1
+    return r, prev
 
 
 def rank(a: Matrix) -> int:
-    return mat_rank(a.rows, a.cols, list(a.nums), list(a.dens))
+    c = a.cols
+    return _reduce([list(a.nums[i * c : (i + 1) * c]) for i in range(a.rows)], c)[0]
 
 
 def inverse(a: Matrix) -> Matrix:
-    """Inverse by Gauss-Jordan elimination; raises ShapeError if singular."""
+    """Inverse by fraction-free Gauss-Jordan elimination of ``[N | I]``,
+    where ``a = N / a.den``; raises ShapeError if singular."""
     if a.rows != a.cols:
         raise ShapeError(f"cannot invert non-square {a.rows}x{a.cols}")
     n = a.rows
-    m = [[a.entry(i, j) for j in range(n)] for i in range(n)]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        p = col
-        while p < n and m[p][col] == 0:
-            p += 1
-        if p == n:
-            raise ShapeError(f"matrix of rank < {n} has no inverse")
-        m[col], m[p] = m[p], m[col]
-        inv[col], inv[p] = inv[p], inv[col]
-        scale = m[col][col]
-        m[col] = [x / scale for x in m[col]]
-        inv[col] = [x / scale for x in inv[col]]
-        for i in range(n):
-            if i == col or m[i][col] == 0:
-                continue
-            factor = m[i][col]
-            m[i] = [x - factor * y for x, y in zip(m[i], m[col])]
-            inv[i] = [x - factor * y for x, y in zip(inv[i], inv[col])]
-    return Matrix.from_rows(inv)
+    rows = []
+    for i in range(n):
+        unit = [0] * n
+        unit[i] = 1
+        rows.append(list(a.nums[i * n : (i + 1) * n]) + unit)
+    r, pivot = _reduce(rows, n)
+    if r < n:
+        raise ShapeError(f"matrix of rank < {n} has no inverse")
+    # [N | I] is now [p * I | p * N^-1] with p the last pivot (+-det N),
+    # and a^-1 = a.den * N^-1
+    return Matrix._raw(n, n, [a.den * x for row in rows for x in row[n:]], pivot)
 
 
 def scalar_to_str(x: ScalarLike) -> str:

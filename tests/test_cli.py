@@ -2,12 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from tqftkit.cli import run
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 def fx(name):
@@ -250,3 +253,22 @@ class TestDeterminism:
             first = capout(*argv)
             second = capout(*argv)
             assert first == second
+
+
+class TestModuleEntryPoint:
+    def run_module(self, *argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "tqftkit.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    def test_python_m_runs_the_cli(self):
+        done = self.run_module("invariant", "--algebra", "z2", "--genus", "2")
+        assert done.returncode == 0 and done.stdout == "4\n" and done.stderr == ""
+
+    def test_python_m_reports_unknown_algebra(self):
+        done = self.run_module("invariant", "--algebra", "nope", "--genus", "2")
+        assert done.returncode == 2 and done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1 and "nope" in done.stderr

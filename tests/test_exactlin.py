@@ -1,5 +1,7 @@
-"""Exact linear algebra: worked examples and algebraic laws."""
+"""Exact linear algebra: worked examples, algebraic laws, and the kernels
+against ``Fraction`` references."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tqftkit.exactlin import (
+    BACKEND,
     Matrix,
     ShapeError,
     inverse,
@@ -19,6 +22,7 @@ from tqftkit.exactlin import (
     scalar_to_str,
     swap_matrix,
 )
+from tqftkit.exactlin.matrix import _reduce
 
 scalars = st.fractions(
     min_value=-9, max_value=9, max_denominator=9
@@ -206,3 +210,190 @@ class TestSerialization:
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
             matrix_from_json([["1"], ["1", "2"]])
+
+
+# --- the kernels against Fraction references ----------------------------------
+
+
+def random_rational(rng, rows, cols):
+    """A random rational matrix and its entries as lists of Fractions."""
+    entries = [
+        [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    return Matrix(rows, cols, [x for row in entries for x in row]), entries
+
+
+def reference_mul(a, b):
+    k = len(b)
+    m = len(b[0]) if b else 0
+    return [[sum((row[t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(m)] for row in a]
+
+
+def reference_kron(a, b, a_cols, b_cols):
+    return [
+        [a[ia][ja] * b[ib][jb] for ja in range(a_cols) for jb in range(b_cols)]
+        for ia in range(len(a))
+        for ib in range(len(b))
+    ]
+
+
+def reference_reduce(rows, ncols):
+    """Gauss-Jordan over Fractions on the first ncols columns: the rank and
+    the reduced rows."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for col in range(ncols):
+        p = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [x / m[r][col] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                factor = m[i][col]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        r += 1
+    return r, m
+
+
+def reference_inverse(a):
+    n = len(a)
+    r, m = reference_reduce([row + [int(i == j) for j in range(n)] for i, row in enumerate(a)], n)
+    return None if r < n else [row[n:] for row in m]
+
+
+def low_rank_with_zero_columns(rng, rows, cols):
+    """An integer matrix of rank at most rows // 2 + 1 with some columns
+    zeroed, so the elimination meets columns without a pivot."""
+    k = rng.randint(0, rows // 2 + 1)
+    left = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(rows)]
+    right = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(k)]
+    zeroed = {j for j in range(cols) if rng.random() < 0.3}
+    return [
+        [0 if j in zeroed else sum(left[i][t] * right[t][j] for t in range(k)) for j in range(cols)]
+        for i in range(rows)
+    ]
+
+
+def test_mul_matches_fraction_reference():
+    rng = random.Random(7)
+    for _ in range(25):
+        n, k, m = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a, a_rows = random_rational(rng, n, k)
+        b, b_rows = random_rational(rng, k, m)
+        assert matmul(a, b) == Matrix.from_rows(reference_mul(a_rows, b_rows))
+
+
+def test_rank_of_known_matrices():
+    assert rank(Matrix(2, 2, [1, 0, 0, 1])) == 2
+    assert rank(Matrix(2, 2, [1, 2, 2, 4])) == 1
+    assert rank(Matrix(2, 2, [0] * 4)) == 0
+    # needs column pivoting: first column zero
+    assert rank(Matrix(2, 3, [0, 1, 0, 0, 0, 1])) == 2
+
+
+def test_rank_with_rational_rows():
+    # rows proportional over Q even though integer parts differ
+    m = Matrix(2, 2, [Fraction(1, 2), Fraction(1, 3), 3, 2])
+    assert rank(m) == 1
+
+
+def test_selected_backend_is_reported():
+    assert BACKEND == "python"
+
+
+def test_kron_matches_fraction_reference():
+    rng = random.Random(11)
+    shapes = [(0, 3, 2, 2), (3, 0, 2, 2), (2, 2, 0, 3), (2, 2, 3, 0), (0, 0, 0, 0)]
+    shapes += [tuple(rng.randint(1, 4) for _ in range(4)) for _ in range(25)]
+    for ra, ca, rb, cb in shapes:
+        a, a_rows = random_rational(rng, ra, ca)
+        b, b_rows = random_rational(rng, rb, cb)
+        want = Matrix(ra * rb, ca * cb, [x for row in reference_kron(a_rows, b_rows, ca, cb) for x in row])
+        assert kron(a, b) == want
+
+
+def test_rank_matches_fraction_reference():
+    rng = random.Random(13)
+    shapes = [(0, 3), (3, 0), (0, 0)] + [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(40)]
+    for rows, cols in shapes:
+        entries = low_rank_with_zero_columns(rng, rows, cols)
+        scaled = [[Fraction(x, d) for x in row] for row in entries for d in [rng.randint(1, 6)]]
+        m = Matrix(rows, cols, [x for row in scaled for x in row])
+        assert rank(m) == reference_reduce(scaled, cols)[0]
+        assert rank(m.transpose()) == rank(m)
+
+
+def test_inverse_matches_fraction_reference():
+    rng = random.Random(17)
+    assert inverse(Matrix.zeros(0, 0)) == Matrix.zeros(0, 0)
+    checked = 0
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        a, a_rows = random_rational(rng, n, n)
+        want = reference_inverse(a_rows)
+        if want is None:
+            with pytest.raises(ShapeError):
+                inverse(a)
+        else:
+            assert inverse(a) == Matrix.from_rows(want)
+            checked += 1
+    assert checked > 40
+
+
+def test_inverse_with_negative_determinant():
+    m = Matrix.from_rows([[0, Fraction(1, 2)], [3, 0]])  # determinant -3/2
+    inv = inverse(m)
+    assert inv.den > 0
+    assert inv == Matrix.from_rows([[0, Fraction(1, 3)], [2, 0]])
+
+
+def test_inverse_messages_unchanged():
+    with pytest.raises(ShapeError, match="cannot invert non-square 2x3"):
+        inverse(Matrix.zeros(2, 3))
+    with pytest.raises(ShapeError, match="matrix of rank < 3 has no inverse"):
+        inverse(Matrix(3, 3, [1, 2, 3, 2, 4, 6, 0, 0, 1]))
+
+
+def test_reduce_on_rank_deficient_matrices_with_zero_pivot_columns():
+    rng = random.Random(19)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        entries = low_rank_with_zero_columns(rng, rows, cols)
+        work = [list(row) for row in entries]
+        r, last_pivot = _reduce(work, cols)
+        want, reduced = reference_reduce(entries, cols)
+        assert r == want
+        # the rows end as last_pivot times the reduced echelon rows
+        assert [[Fraction(x, last_pivot) for x in row] for row in work] == reduced
+
+
+def test_canonical_form():
+    half = Fraction(1, 2)
+    built = [
+        Matrix(2, 2, [half, Fraction(1, 3), 0, 2]),
+        Matrix.from_rows([[Fraction(3, 6), Fraction(2, 6)], ["0", Fraction(4, 2)]]),
+        Matrix.from_rows([[3, 2], [0, 12]]).scale(Fraction(1, 6)),
+        matmul(Matrix.scalar(Fraction(1, 6)), Matrix.row([3, 2, 0, 12])).reshape(2, 2),
+        matmul(Matrix.from_rows([[half, 0], [0, 2]]), Matrix.from_rows([[1, Fraction(2, 3)], [0, 1]])),
+    ]
+    for m in built:
+        assert (m.nums, m.den) == ((3, 2, 0, 12), 6)
+        assert m == built[0] and hash(m) == hash(built[0])
+    integral = matmul(Matrix.from_rows([[half, half]]), Matrix.column([4, 2]))
+    assert integral.den == 1 and integral.nums == (3,)
+    zero = built[0].scale(0)
+    assert zero.den == 1 and zero.nums == (0, 0, 0, 0) and zero == Matrix.zeros(2, 2)
+
+
+def test_first_difference_with_different_denominators():
+    a = Matrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [1, 5]])
+    b = Matrix.from_rows([[Fraction(1, 2), Fraction(1, 5)], [1, 5]])
+    assert a.den != b.den
+    assert a.first_difference(b) == 1
+    assert b.first_difference(a) == 1
+    # equal entries at the front under different common denominators
+    c = Matrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [1, 4]])
+    d = Matrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 7), 5]])
+    assert c.den != d.den and c.first_difference(d) == 2

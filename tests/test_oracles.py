@@ -3,7 +3,9 @@
 The references are the explicit formulas and ``entry()`` loops that
 ``check_axioms``, ``from_economy``, ``to_economy`` and the
 ``admits_frobenius_form`` grid used before they were written as relation
-checks and matrix products.  Gaussian elimination is the oracle for the
+checks and matrix products, and the padded Kronecker products that
+``bend_state`` and ``reconstruct_map`` used before they were written as
+reshaped products.  Gaussian elimination is the oracle for the
 duality-sandwich inverses.
 """
 
@@ -13,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import eleven_algebras
+from conftest import eleven_algebras, enumerate_terms, random_term
 from tqftkit import dualpairs, evaluate, frobenius
 from tqftkit.algebras import (
     cyclic_group,
@@ -23,7 +25,15 @@ from tqftkit.algebras import (
     upper_triangular_algebra,
 )
 from tqftkit.dualpairs import DualPair, dp_morphism_inverse, standard_pair
-from tqftkit.evaluate import check_relations
+from tqftkit.evaluate import (
+    Interpretation,
+    bend_state,
+    check_relations,
+    coev_term,
+    eval_term,
+    pairing_term,
+    reconstruct_map,
+)
 from tqftkit.exactlin import Matrix, inverse, kron, matmul, rank, swap_matrix
 from tqftkit.frobenius import (
     BilinearPairing,
@@ -38,7 +48,8 @@ from tqftkit.frobenius import (
     morphism_inverse,
     to_economy,
 )
-from tqftkit.surfaces import frobenius_interpretation
+from tqftkit.surfaces import bord2_signature, frobenius_interpretation
+from tqftkit.terms import Compose, Gen, Id, Swap, Tensor, typecheck
 
 
 # --- references ------------------------------------------------------------
@@ -120,6 +131,25 @@ def reference_admits(dim, mu, eta):
         rank(reference_grid_gram(dim, mu, lam)) == dim
         for lam in itertools.product(range(dim + 1), repeat=dim)
     )
+
+
+def reference_bend_state(t, interp):
+    """Evaluate the bent term ``coev_src ; (t * id)`` itself."""
+    src, _ = typecheck(t, interp.sig)
+    if not src:
+        return eval_term(t, interp)
+    bent = Compose(coev_term(src, interp.sig), Tensor(t, Id(tuple(reversed(src)))))
+    return eval_term(bent, interp)
+
+
+def reference_reconstruct_map(state, source, target, interp):
+    """Pad the state and the pairing with identities:
+    ``kron(I_tgt, d) . kron(state, I_src)``."""
+    if not source:
+        return state
+    d = eval_term(pairing_term(source, interp.sig), interp)
+    contract = kron(Matrix.identity(interp.dim(target)), d)
+    return matmul(contract, kron(state, Matrix.identity(interp.dim(source))))
 
 
 def outcome(build):
@@ -255,6 +285,41 @@ def test_dp_morphism_inverse_matches_gaussian_elimination_across_pairs():
         f_inv, g_inv = dp_morphism_inverse(p, q, f, g)
         assert f_inv == inverse(f) and g_inv == inverse(g)
         produced += 1
+
+
+# --- bending and reconstruction --------------------------------------------
+
+
+def bending_interpretations():
+    """Frobenius interpretations, and one of random rational generator
+    matrices, whose designated duality terms are not symmetric."""
+    rng = random.Random(23)
+    sig = bord2_signature()
+    noise = {}
+    for name, (src, tgt) in sig.g1.items():
+        r, c = 2 ** len(tgt), 2 ** len(src)
+        noise[name] = Matrix(r, c, [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(r * c)])
+    algebras = [group_algebra(cyclic_group(2)), milnor_ring(3), group_algebra(cyclic_group(3))]
+    return [frobenius_interpretation(alg) for alg in algebras] + [Interpretation(sig, {"S1": 2}, noise)]
+
+
+def test_bend_and_reconstruct_match_padded_kronecker_formulas():
+    rng = random.Random(29)
+    sig = bord2_signature()
+    atoms = [Gen("pants"), Gen("copants"), Gen("cap"), Gen("cup"), Swap(("S1",), ("S1",)), Id(("S1",))]
+    terms = enumerate_terms(sig, atoms, 3, 3, {3: 60})
+    terms += [random_term(rng, sig, rng.randint(1, 4)) for _ in range(40)]
+    for interp in bending_interpretations():
+        for t in terms:
+            src, tgt = typecheck(t, sig)
+            if interp.dim(src) * interp.dim(tgt) > 64:
+                continue
+            state = bend_state(t, interp)
+            assert state == reference_bend_state(t, interp)
+            assert reconstruct_map(state, src, tgt, interp) == reference_reconstruct_map(state, src, tgt, interp)
+            # a state that is no bent term
+            other = Matrix(state.rows, 1, [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(state.rows)])
+            assert reconstruct_map(other, src, tgt, interp) == reference_reconstruct_map(other, src, tgt, interp)
 
 
 # --- post-conditions -------------------------------------------------------
