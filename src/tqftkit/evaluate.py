@@ -105,18 +105,39 @@ def eval_term(t: Term, interp: Interpretation) -> Matrix:
     return _eval(t, interp)
 
 
+# stack marker: the two factors of the term below it are done
+_COMBINE = object()
+
+
 def _eval(t: Term, interp: Interpretation) -> Matrix:
-    if isinstance(t, Gen):
-        return interp.gen_matrix[t.name]
-    if isinstance(t, Id):
-        return Matrix.identity(interp.dim(t.word))
-    if isinstance(t, Swap):
-        return swap_matrix(interp.dim(t.left), interp.dim(t.right))
-    if isinstance(t, Compose):
-        return matmul(_eval(t.then, interp), _eval(t.first, interp))
-    if isinstance(t, Tensor):
-        return kron(_eval(t.left, interp), _eval(t.right, interp))
-    raise TypeError(f"not a term: {t!r}")
+    """Evaluate a well-typed term from an explicit stack, depth first, so
+    that deep terms need no recursion."""
+    values = []  # matrices of finished subterms, in post-order
+    stack: list = [t]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Gen:
+            values.append(interp.gen_matrix[node.name])
+        elif kind is Compose:
+            stack += (node, _COMBINE, node.then, node.first)
+        elif kind is Tensor:
+            stack += (node, _COMBINE, node.right, node.left)
+        elif node is _COMBINE:
+            node = stack.pop()
+            second = values.pop()
+            first = values.pop()
+            if type(node) is Compose:
+                values.append(matmul(second, first))
+            else:
+                values.append(kron(first, second))
+        elif kind is Id:
+            values.append(Matrix.identity(interp.dim(node.word)))
+        elif kind is Swap:
+            values.append(swap_matrix(interp.dim(node.left), interp.dim(node.right)))
+        else:
+            raise TypeError(f"not a term: {node!r}")
+    return values[0]
 
 
 @dataclass(frozen=True)

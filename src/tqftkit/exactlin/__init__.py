@@ -1,9 +1,10 @@
-"""Exact rational scalars and dense linear algebra.
+"""Exact rational scalars and sparse linear algebra.
 
-Everything lives in ``matrix``: a ``Matrix`` is one row-major tuple of
-integer numerators over one positive common denominator, kept in lowest
-terms, and its kernels (product, Kronecker product, rank, inverse) work
-on those integers directly.
+Everything lives in ``matrix``: a ``Matrix`` keeps only its nonzero
+integer numerators, row by row as sorted (column, numerator) pairs, over
+one positive common denominator in lowest terms, and its kernels
+(product, Kronecker product, rank, inverse) work on those integers
+directly, at a cost that follows the nonzeros.
 """
 
 from .matrix import (

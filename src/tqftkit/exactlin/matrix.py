@@ -1,13 +1,30 @@
-"""Dense matrices over the exact rationals.
+"""Sparse matrices over the exact rationals.
 
-A ``Matrix`` stores its entries as one row-major tuple ``nums`` of
-integer numerators over one common denominator ``den > 0``, in lowest
-terms: ``gcd(den, *nums) == 1``, so the zero matrix has ``den == 1`` and
-two equal matrices have equal fields.  Entry ``(i, j)`` is
-``Fraction(nums[i * cols + j], den)``.  The kernels below work on the
-integers directly and normalise once per result; no kernel builds a
-``Fraction`` per entry.  Matrices are immutable and may have zero rows
-or columns.
+A ``Matrix`` stores only its nonzero entries: ``nz[i]`` is row i as a
+tuple of ``(column, numerator)`` pairs, sorted by column, with no zero
+numerator, over one common denominator ``den > 0``.  The form is
+canonical: ``gcd(den, *numerators) == 1``, so the zero matrix has
+``den == 1`` and two equal matrices have equal fields.  Entry ``(i, j)``
+is ``Fraction(v, den)`` for the pair ``(j, v)`` of row i, and zero when
+row i has no pair for column j.  Matrices are immutable and may have
+zero rows or columns.
+
+The kernels below work on the integers directly and normalise once per
+result; no kernel builds a ``Fraction`` per entry.  Their costs, with
+``nnz`` the number of nonzeros:
+
+* ``Matrix(rows, cols, entries)`` reads every given entry once and keeps
+  the nonzeros; ``identity``, ``zeros`` and ``swap_matrix`` cost one
+  step per row.
+* ``matmul(a, b)`` costs the nonzero products ``a[i, t] * b[t, j]``
+  plus, for each row of ``a`` with two or more nonzeros, one integer
+  accumulator of ``b.cols`` entries; a row of ``a`` with one nonzero
+  (identity padding, swaps) scales a row of ``b`` and needs none.
+* ``kron(a, b)`` costs ``nnz(a) * nnz(b)`` plus one step per result row.
+* ``transpose``, ``reshape``, ``scale`` and ``first_difference`` cost
+  ``nnz`` plus one step per row.
+* ``rank`` and ``inverse`` unpack the nonzero rows to dense integer rows
+  for one fraction-free Gauss-Jordan elimination (``_reduce``).
 
 Scalars are ``fractions.Fraction`` (arbitrary precision, denominator
 positive, always reduced, zero is 0/1).  Index conventions are fixed
@@ -24,6 +41,7 @@ is one; matrices serialize as JSON lists of rows of such strings.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
@@ -67,56 +85,73 @@ def _as_fraction(x: ScalarLike) -> Fraction:
 class Matrix:
     """An immutable rows-by-cols matrix of exact rationals.
 
-    ``nums`` is the row-major tuple of integer numerators and ``den`` the
-    one positive common denominator, with ``gcd(den, *nums) == 1``.
+    ``nz`` holds one tuple per row of that row's nonzeros as sorted
+    ``(column, numerator)`` pairs, and ``den`` is the one positive common
+    denominator, with ``gcd(den, *numerators) == 1``.
     """
 
-    __slots__ = ("rows", "cols", "nums", "den")
+    __slots__ = ("rows", "cols", "nz", "den")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[ScalarLike]):
         if rows < 0 or cols < 0:
             raise ShapeError(f"negative shape {rows}x{cols}")
-        # two int lists rather than one Fraction per entry: wide matrices
-        # have millions of entries
+        # row-major positions, numerators and denominators of the nonzeros
+        where = []
         nums = []
         dens = []
-        for x in entries:
+        count = 0
+        for count, x in enumerate(entries, 1):
             if not isinstance(x, (int, Fraction)):
                 x = _as_fraction(x)
-            nums.append(x.numerator)
-            dens.append(x.denominator)
-        if len(nums) != rows * cols:
+            if x:
+                where.append(count - 1)
+                nums.append(x.numerator)
+                dens.append(x.denominator)
+        if count != rows * cols:
             raise ShapeError(
-                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(nums)}"
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {count}"
             )
+        # over the lcm of reduced denominators the numerators share no
+        # factor with it, so the form is already canonical
         den = lcm(*dens)
         if den != 1:
             nums = [n * (den // d) for n, d in zip(nums, dens)]
-        Matrix._init(self, rows, cols, nums, den)
+        nz = [[] for _ in range(rows)]
+        for k, v in zip(where, nums):
+            i, j = divmod(k, cols)
+            nz[i].append((j, v))
+        Matrix._set(self, rows, cols, tuple(map(tuple, nz)), den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
-    def _init(self, rows: int, cols: int, nums, den: int) -> None:
-        if den != 1:
-            if den < 0:
-                den = -den
-                nums = [-x for x in nums]
-            g = gcd(den, *nums)
-            if g != 1:
-                den //= g
-                nums = [x // g for x in nums]
+    def _set(self, rows: int, cols: int, nz: tuple, den: int) -> None:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "nz", nz)
         object.__setattr__(self, "den", den)
 
     @classmethod
-    def _raw(cls, rows: int, cols: int, nums, den: int = 1) -> "Matrix":
-        """The matrix ``nums / den``, brought to lowest terms."""
+    def _new(cls, rows: int, cols: int, nz: tuple, den: int = 1) -> "Matrix":
+        """The matrix with these fields, which must already be canonical."""
         m = cls.__new__(cls)
-        m._init(rows, cols, nums, den)
+        m._set(rows, cols, nz, den)
         return m
+
+    @classmethod
+    def _raw(cls, rows: int, cols: int, nz, den: int = 1) -> "Matrix":
+        """The matrix ``nz / den`` brought to lowest terms.  ``nz`` is one
+        sequence per row of sorted, zero-free ``(column, numerator)``
+        pairs; ``den`` is any nonzero integer."""
+        if den != 1:
+            if den < 0:
+                den = -den
+                nz = [[(j, -v) for j, v in row] for row in nz]
+            g = gcd(den, *[v for row in nz for _, v in row])
+            if g != 1:
+                den //= g
+                nz = [[(j, v // g) for j, v in row] for row in nz]
+        return cls._new(rows, cols, tuple(map(tuple, nz)), den)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[ScalarLike]]) -> "Matrix":
@@ -131,13 +166,11 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        nums = [0] * (n * n)
-        nums[:: n + 1] = [1] * n
-        return cls._raw(n, n, nums)
+        return cls._new(n, n, tuple([((i, 1),) for i in range(n)]))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls._raw(rows, cols, (0,) * (rows * cols))
+        return cls._new(rows, cols, ((),) * rows)
 
     @classmethod
     def column(cls, values: Sequence[ScalarLike]) -> "Matrix":
@@ -155,33 +188,73 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
+    @property
+    def nums(self) -> tuple[int, ...]:
+        """All ``rows * cols`` numerators over ``den`` in row-major order,
+        zeros included.  Built on each access; the kernels never use it."""
+        out = []
+        for row in self.nz:
+            out += _dense(row, self.cols)
+        return tuple(out)
+
     def entry(self, i: int, j: int) -> Fraction:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"({i},{j}) outside {self.rows}x{self.cols}")
-        return Fraction(self.nums[i * self.cols + j], self.den)
+        row = self.nz[i]
+        k = bisect_left(row, (j,))  # (j,) sorts before every (j, v)
+        if k < len(row) and row[k][0] == j:
+            return Fraction(row[k][1], self.den)
+        return Fraction(0)
 
     def to_lists(self) -> list[list[Fraction]]:
-        return [
-            [self.entry(i, j) for j in range(self.cols)] for i in range(self.rows)
-        ]
+        zero = Fraction(0)
+        out = []
+        for row in self.nz:
+            dense = [zero] * self.cols
+            for j, v in row:
+                dense[j] = Fraction(v, self.den)
+            out.append(dense)
+        return out
 
     def transpose(self) -> "Matrix":
-        nums = []
-        for j in range(self.cols):
-            nums += self.nums[j :: self.cols]
-        return Matrix._raw(self.cols, self.rows, nums, self.den)
+        out = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.nz):
+            for j, v in row:
+                out[j].append((i, v))
+        return Matrix._new(self.cols, self.rows, tuple(map(tuple, out)), self.den)
 
     def reshape(self, rows: int, cols: int) -> "Matrix":
         """The same row-major entries read with a new shape."""
         if rows < 0 or cols < 0 or rows * cols != self.rows * self.cols:
             raise ShapeError(f"cannot reshape {self.rows}x{self.cols} to {rows}x{cols}")
-        return Matrix._raw(rows, cols, self.nums, self.den)
+        if (rows, cols) == self.shape:
+            return self
+        out = [()] * rows
+        at = -1  # the result row being filled
+        filled = []
+        for i, row in enumerate(self.nz):
+            base = i * self.cols
+            for j, v in row:
+                r, c = divmod(base + j, cols)
+                if r != at:
+                    if filled:
+                        out[at] = tuple(filled)
+                    at, filled = r, []
+                filled.append((c, v))
+        if filled:
+            out[at] = tuple(filled)
+        return Matrix._new(rows, cols, tuple(out), self.den)
 
     def scale(self, factor: ScalarLike) -> "Matrix":
         f = _as_fraction(factor)
         p = f.numerator
+        if not p:
+            return Matrix.zeros(self.rows, self.cols)
         return Matrix._raw(
-            self.rows, self.cols, [p * x for x in self.nums], self.den * f.denominator
+            self.rows,
+            self.cols,
+            [[(j, p * v) for j, v in row] for row in self.nz],
+            self.den * f.denominator,
         )
 
     def first_difference(self, other: "Matrix") -> int | None:
@@ -192,9 +265,13 @@ class Matrix:
         if self == other:
             return None
         da, db = self.den, other.den
-        for k, (x, y) in enumerate(zip(self.nums, other.nums)):
-            if x * db != y * da:
-                return k
+        for i, (ra, rb) in enumerate(zip(self.nz, other.nz)):
+            if ra == rb and da == db:
+                continue
+            a, b = dict(ra), dict(rb)
+            for j in sorted(a.keys() | b.keys()):
+                if a.get(j, 0) * db != b.get(j, 0) * da:
+                    return i * self.cols + j
         return None
 
     def is_identity(self) -> bool:
@@ -207,75 +284,75 @@ class Matrix:
             self.rows == other.rows
             and self.cols == other.cols
             and self.den == other.den
-            and self.nums == other.nums
+            and self.nz == other.nz
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.nums, self.den))
+        return hash((self.rows, self.cols, self.nz, self.den))
 
     def __repr__(self) -> str:
-        body = "; ".join(
-            " ".join(scalar_to_str(self.entry(i, j)) for j in range(self.cols))
-            for i in range(self.rows)
-        )
+        body = "; ".join(" ".join(map(scalar_to_str, row)) for row in self.to_lists())
         return f"Matrix({self.rows}x{self.cols}: [{body}])"
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     """Matrix product; raises ShapeError naming both shapes on mismatch.
 
-    Each nonzero ``x`` of row i of ``a``, at column t, adds ``x`` times the
-    nonzeros of row t of ``b`` into an integer row; the matrices arising
-    from string-diagram evaluation are mostly sparse permutation blocks.
+    A row of ``a`` with one nonzero ``x`` at column t gives ``x`` times
+    row t of ``b``.  Any other row adds each of its nonzeros times the
+    matching row of ``b`` into a dense integer row, which keeps the
+    entries that did not cancel.
     """
     if a.cols != b.rows:
         raise ShapeError(
             f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}"
         )
-    n, k, m = a.rows, a.cols, b.cols
-    an, bn = a.nums, b.nums
+    m = b.cols
     cols = range(m)
-    brows = []  # row t of b as (column, value) pairs of its nonzeros
-    for t in range(k):
-        row = bn[t * m : (t + 1) * m]
-        brows.append(tuple(zip(compress(cols, row), compress(row, row))))
+    bnz = b.nz
     out = []
-    for i in range(n):
-        arow = an[i * k : (i + 1) * k]
-        acc = [0] * m
-        for x, brow in compress(zip(arow, brows), arow):
-            for j, y in brow:
-                acc[j] += x * y
-        out += acc
-    return Matrix._raw(n, m, out, a.den * b.den)
+    for arow in a.nz:
+        if len(arow) > 1:
+            acc = [0] * m
+            for t, x in arow:
+                for j, y in bnz[t]:
+                    acc[j] += x * y
+            out.append(tuple(zip(compress(cols, acc), compress(acc, acc))))
+        elif arow:
+            t, x = arow[0]
+            out.append(bnz[t] if x == 1 else tuple([(j, x * y) for j, y in bnz[t]]))
+        else:
+            out.append(())
+    return Matrix._raw(a.rows, m, out, a.den * b.den)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    ca, rb, cb = a.cols, b.rows, b.cols
-    zero = (0,) * cb
-    brows = [b.nums[t * cb : (t + 1) * cb] for t in range(rb)]
+    cb = b.cols
+    bnz = b.nz
     out = []
-    for i in range(a.rows):
-        arow = a.nums[i * ca : (i + 1) * ca]
-        for brow in brows:
-            for x in arow:
-                if not x:
-                    out += zero
-                elif x == 1:
-                    out += brow
-                else:
-                    out += [x * y for y in brow]
-    return Matrix._raw(a.rows * rb, ca * cb, out, a.den * b.den)
+    for arow in a.nz:
+        if not arow:
+            out += ((),) * b.rows
+            continue
+        shifted = [(ja * cb, x) for ja, x in arow]
+        for brow in bnz:
+            out.append(tuple([(o + jb, x * y) for o, x in shifted for jb, y in brow]) if brow else ())
+    return Matrix._raw(a.rows * b.rows, a.cols * cb, out, a.den * b.den)
 
 
 def swap_matrix(d1: int, d2: int) -> Matrix:
     """Permutation matrix of the tensor-factor swap, size d1*d2."""
     n = d1 * d2
-    nums = [0] * (n * n)
-    for i in range(d1):
-        for j in range(d2):
-            nums[(j * d1 + i) * n + (i * d2 + j)] = 1
-    return Matrix._raw(n, n, nums)
+    # row j * d1 + i has its one at column i * d2 + j
+    return Matrix._new(n, n, tuple([((i * d2 + j, 1),) for j in range(d2) for i in range(d1)]))
+
+
+def _dense(row, ncols: int) -> list[int]:
+    """One row of ``nz`` as a dense integer row."""
+    out = [0] * ncols
+    for j, v in row:
+        out[j] = v
+    return out
 
 
 def _reduce(rows: list[list[int]], ncols: int) -> tuple[int, int]:
@@ -317,8 +394,8 @@ def _reduce(rows: list[list[int]], ncols: int) -> tuple[int, int]:
 
 
 def rank(a: Matrix) -> int:
-    c = a.cols
-    return _reduce([list(a.nums[i * c : (i + 1) * c]) for i in range(a.rows)], c)[0]
+    # zero rows do not change the rank
+    return _reduce([_dense(row, a.cols) for row in a.nz if row], a.cols)[0]
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -328,16 +405,18 @@ def inverse(a: Matrix) -> Matrix:
         raise ShapeError(f"cannot invert non-square {a.rows}x{a.cols}")
     n = a.rows
     rows = []
-    for i in range(n):
-        unit = [0] * n
-        unit[i] = 1
-        rows.append(list(a.nums[i * n : (i + 1) * n]) + unit)
+    for i, row in enumerate(a.nz):
+        dense = _dense(row, 2 * n)
+        dense[n + i] = 1
+        rows.append(dense)
     r, pivot = _reduce(rows, n)
     if r < n:
         raise ShapeError(f"matrix of rank < {n} has no inverse")
     # [N | I] is now [p * I | p * N^-1] with p the last pivot (+-det N),
     # and a^-1 = a.den * N^-1
-    return Matrix._raw(n, n, [a.den * x for row in rows for x in row[n:]], pivot)
+    d = a.den
+    nz = [[(j, d * x) for j, x in enumerate(row[n:]) if x] for row in rows]
+    return Matrix._raw(n, n, nz, pivot)
 
 
 def scalar_to_str(x: ScalarLike) -> str:
@@ -352,10 +431,7 @@ def scalar_from_str(s: Union[str, int]) -> Fraction:
 
 
 def matrix_to_json(a: Matrix) -> list[list[str]]:
-    return [
-        [scalar_to_str(a.entry(i, j)) for j in range(a.cols)]
-        for i in range(a.rows)
-    ]
+    return [[scalar_to_str(x) for x in row] for row in a.to_lists()]
 
 
 def matrix_from_json(obj, expect_shape: tuple[int, int] | None = None) -> Matrix:

@@ -236,42 +236,74 @@ def _check_name(name: str) -> None:
         raise ValueError(f"{name!r} is reserved")
 
 
+# stack marker: the two factors of the term below it are done
+_COMBINE = object()
+
+
 def typecheck(t: Term, sig: Signature) -> tuple[ObjectWord, ObjectWord]:
     """Source and target of a term, or a typed error with the path to the
-    offending subterm."""
-    return _typecheck(t, sig, ())
+    offending subterm.
+
+    Subterms are visited depth first, left to right, from an explicit
+    stack, so the depth of a term is bounded by memory rather than by the
+    interpreter's recursion limit.
+    """
+    types = []  # (source, target) of each finished subterm, in post-order
+    stack: list = [t]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Gen:
+            typed = sig.g1.get(node.name)
+            if typed is None:
+                raise UnknownGenerator(node.name, _path_to(t, node))
+            types.append(typed)
+        elif kind is Compose:
+            stack += (node, _COMBINE, node.then, node.first)
+        elif kind is Tensor:
+            stack += (node, _COMBINE, node.right, node.left)
+        elif node is _COMBINE:
+            node = stack.pop()
+            src2, tgt2 = types.pop()
+            src1, tgt1 = types.pop()
+            if type(node) is Tensor:
+                types.append((src1 + src2, tgt1 + tgt2))
+            elif tgt1 != src2:
+                raise ComposeMismatch(tgt1, src2, _path_to(t, node))
+            else:
+                types.append((src1, tgt2))
+        elif kind is Id:
+            _check_word(node.word, sig, t, node)
+            types.append((node.word, node.word))
+        elif kind is Swap:
+            _check_word(node.left, sig, t, node)
+            _check_word(node.right, sig, t, node)
+            types.append((node.left + node.right, node.right + node.left))
+        else:
+            raise TypeError(f"not a term: {node!r}")
+    return types[0]
 
 
-def _typecheck(t: Term, sig: Signature, path: tuple[str, ...]):
-    if isinstance(t, Gen):
-        try:
-            return sig.g1[t.name]
-        except KeyError:
-            raise UnknownGenerator(t.name, path) from None
-    if isinstance(t, Id):
-        _check_word(t.word, sig, path)
-        return (t.word, t.word)
-    if isinstance(t, Swap):
-        _check_word(t.left, sig, path)
-        _check_word(t.right, sig, path)
-        return (t.left + t.right, t.right + t.left)
-    if isinstance(t, Compose):
-        src1, mid = _typecheck(t.first, sig, path + ("first",))
-        src2, tgt2 = _typecheck(t.then, sig, path + ("then",))
-        if mid != src2:
-            raise ComposeMismatch(mid, src2, path)
-        return (src1, tgt2)
-    if isinstance(t, Tensor):
-        ls, lt = _typecheck(t.left, sig, path + ("left",))
-        rs, rt = _typecheck(t.right, sig, path + ("right",))
-        return (ls + rs, lt + rt)
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _check_word(word: ObjectWord, sig: Signature, path: tuple[str, ...]) -> None:
+def _check_word(word: ObjectWord, sig: Signature, root: Term, node: Term) -> None:
     for label in word:
         if label not in sig.g0:
-            raise UnknownObject(label, path)
+            raise UnknownObject(label, _path_to(root, node))
+
+
+def _path_to(root: Term, node: Term) -> tuple[str, ...]:
+    """Path from ``root`` to the first occurrence of the subterm object
+    ``node``, in the order ``typecheck`` visits subterms; a subterm that
+    fails to typecheck fails at its first occurrence."""
+    stack = [(root, ())]
+    while stack:
+        t, path = stack.pop()
+        if t is node:
+            return path
+        if isinstance(t, Compose):
+            stack += ((t.then, path + ("then",)), (t.first, path + ("first",)))
+        elif isinstance(t, Tensor):
+            stack += ((t.right, path + ("right",)), (t.left, path + ("left",)))
+    raise LookupError(f"{node!r} is not a subterm")
 
 
 # --- lexer -----------------------------------------------------------------

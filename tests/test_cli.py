@@ -62,6 +62,12 @@ class TestHappyPaths:
         assert code == 0
         assert json.loads(out) == [["1"], ["0"], ["0"], ["1"]]
 
+    def test_eval_of_a_long_inline_chain(self, capout):
+        chain = "cap ; " + " ; ".join(["copants ; pants"] * 1500) + " ; cup"
+        code, out, err = capout("eval", "--algebra", "z2", "--term", chain)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == [[str(2 ** 1500)]]
+
     def test_eval_term_file(self, capout):
         code, out, _ = capout("eval", "--algebra", "z2", "--term", fx("genus_one.term"))
         assert code == 0

@@ -15,7 +15,7 @@ from tqftkit.evaluate import (
     reconstruct_map,
 )
 from tqftkit.exactlin import Matrix, ShapeError, kron, matmul
-from tqftkit.surfaces import bord2_signature, frobenius_interpretation
+from tqftkit.surfaces import bord2_signature, frobenius_interpretation, genus_term
 from tqftkit.terms import Compose, Gen, Id, Swap, Tensor, parse_term, typecheck
 
 
@@ -70,6 +70,10 @@ class TestEval:
     def test_commutativity_relation(self, z2_interp):
         lhs = parse_term("swap[S1,S1] ; pants", z2_interp.sig)
         assert eval_term(lhs, z2_interp) == eval_term(Gen("pants"), z2_interp)
+
+    def test_deep_term_needs_no_recursion(self, z2_interp):
+        # z2 has dimension 2 and every handle doubles the closed surface
+        assert eval_term(genus_term(2000), z2_interp) == Matrix.scalar(2 ** 2000)
 
     def test_functoriality_on_random_terms(self):
         sig = parser_signature()

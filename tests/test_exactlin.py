@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tqftkit.algebras import cyclic_group, group_algebra
+from tqftkit.evaluate import eval_term
 from tqftkit.exactlin import (
     BACKEND,
     Matrix,
@@ -23,6 +25,8 @@ from tqftkit.exactlin import (
     swap_matrix,
 )
 from tqftkit.exactlin.matrix import _reduce
+from tqftkit.surfaces import frobenius_interpretation
+from tqftkit.terms import parse_term
 
 scalars = st.fractions(
     min_value=-9, max_value=9, max_denominator=9
@@ -379,12 +383,30 @@ def test_canonical_form():
         matmul(Matrix.from_rows([[half, 0], [0, 2]]), Matrix.from_rows([[1, Fraction(2, 3)], [0, 1]])),
     ]
     for m in built:
-        assert (m.nums, m.den) == ((3, 2, 0, 12), 6)
+        assert (m.nz, m.den) == ((((0, 3), (1, 2)), ((1, 12),)), 6)
+        assert m.nums == (3, 2, 0, 12)
         assert m == built[0] and hash(m) == hash(built[0])
     integral = matmul(Matrix.from_rows([[half, half]]), Matrix.column([4, 2]))
-    assert integral.den == 1 and integral.nums == (3,)
+    assert integral.den == 1 and integral.nz == (((0, 3),),)
     zero = built[0].scale(0)
-    assert zero.den == 1 and zero.nums == (0, 0, 0, 0) and zero == Matrix.zeros(2, 2)
+    assert zero.den == 1 and zero.nz == ((), ()) and zero == Matrix.zeros(2, 2)
+    assert hash(zero) == hash(Matrix.zeros(2, 2))
+
+
+def test_wide_term_stores_only_its_nonzeros():
+    # id[S1^6] * pants at dimension 5 is 78,125 x 390,625 dense; kron(I, mu)
+    # keeps one block of mu per basis word of the identity legs
+    z5 = group_algebra(cyclic_group(5))
+    interp = frobenius_interpretation(z5)
+    wide = eval_term(parse_term("id[S1,S1,S1,S1,S1,S1] * pants", interp.sig), interp)
+    assert wide.shape == (5 ** 7, 5 ** 8)
+    assert sum(map(len, wide.nz)) == 5 ** 8
+    rng = random.Random(37)
+    for _ in range(2000):
+        block, i, jk = rng.randrange(5 ** 6), rng.randrange(5), rng.randrange(25)
+        assert wide.entry(block * 5 + i, block * 25 + jk) == z5.mu.entry(i, jk)
+        r, c = rng.randrange(5 ** 7), rng.randrange(5 ** 8)
+        assert wide.entry(r, c) == (z5.mu.entry(r % 5, c % 25) if r // 5 == c // 25 else 0)
 
 
 def test_first_difference_with_different_denominators():

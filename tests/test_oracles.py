@@ -6,16 +6,21 @@ The references are the explicit formulas and ``entry()`` loops that
 checks and matrix products, and the padded Kronecker products that
 ``bend_state`` and ``reconstruct_map`` used before they were written as
 reshaped products.  Gaussian elimination is the oracle for the
-duality-sandwich inverses.
+duality-sandwich inverses.  Dense lists of ``Fraction`` rows are the
+oracle for the sparse matrix kernels and for the evaluator.
 """
 
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import eleven_algebras, enumerate_terms, random_term
+from test_exactlin import reference_inverse, reference_kron, reference_reduce
 from tqftkit import dualpairs, evaluate, frobenius
 from tqftkit.algebras import (
     cyclic_group,
@@ -34,7 +39,16 @@ from tqftkit.evaluate import (
     pairing_term,
     reconstruct_map,
 )
-from tqftkit.exactlin import Matrix, inverse, kron, matmul, rank, swap_matrix
+from tqftkit.exactlin import (
+    Matrix,
+    ShapeError,
+    inverse,
+    kron,
+    matmul,
+    matrix_to_json,
+    rank,
+    swap_matrix,
+)
 from tqftkit.frobenius import (
     BilinearPairing,
     FrobeniusAlgebra,
@@ -338,3 +352,217 @@ def test_dp_morphism_inverse_postcondition_raises(monkeypatch):
     twice = Matrix.identity(2).scale(2)
     with pytest.raises(AssertionError, match=r"f_inv \. f is not the identity"):
         dp_morphism_inverse(p, p, twice, twice)
+
+
+# --- sparse kernels against dense Fraction rows ----------------------------
+
+
+def dense_identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def dense_swap(d1, d2):
+    n = d1 * d2
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(d1):
+        for j in range(d2):
+            out[j * d1 + i][i * d2 + j] = Fraction(1)
+    return out
+
+
+def dense_mul(a, b, cols):
+    return [[sum((x * b[t][j] for t, x in enumerate(row)), Fraction(0)) for j in range(cols)] for row in a]
+
+
+def dense_transpose(a, cols):
+    return [[row[j] for row in a] for j in range(cols)]
+
+
+def dense_reshape(a, rows, cols):
+    flat = [x for row in a for x in row]
+    return [flat[i * cols : (i + 1) * cols] for i in range(rows)]
+
+
+def dense_first_difference(a, b):
+    flat_a = [x for row in a for x in row]
+    flat_b = [x for row in b for x in row]
+    return next((k for k, (x, y) in enumerate(zip(flat_a, flat_b)) if x != y), None)
+
+
+def mixed_density(rng, rows, cols):
+    """Dense Fraction rows with a random share of nonzeros, from none to
+    all; small numerators make products cancel."""
+    density = rng.choice((0.0, 0.1, 0.3, 0.6, 1.0))
+    return [
+        [
+            Fraction(rng.choice((-2, -1, 1, 1, 3)), rng.choice((1, 1, 2, 3, 6)))
+            if rng.random() < density
+            else Fraction(0)
+            for _ in range(cols)
+        ]
+        for _ in range(rows)
+    ]
+
+
+def sparse(rows_list, cols):
+    return Matrix(len(rows_list), cols, [x for row in rows_list for x in row])
+
+
+def assert_matches(m, dense, shape):
+    """``m`` is canonical and holds exactly the dense rows."""
+    assert m.shape == shape
+    assert len(m.nz) == m.rows and m.den > 0
+    for row in m.nz:
+        columns = [j for j, _ in row]
+        assert columns == sorted(set(columns)) and all(0 <= j < m.cols for j in columns)
+        assert all(v for _, v in row)
+    assert gcd(m.den, *[v for row in m.nz for _, v in row]) == 1
+    assert m.to_lists() == dense
+    assert [[m.entry(i, j) for j in range(m.cols)] for i in range(m.rows)] == dense
+
+
+EDGE_SHAPES = [(0, 3), (3, 0), (0, 0), (1, 1)]
+
+
+def random_shapes(rng, count):
+    return EDGE_SHAPES + [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(count)]
+
+
+def test_constructor_keeps_only_the_nonzeros():
+    rng = random.Random(41)
+    for rows, cols in random_shapes(rng, 60):
+        dense = mixed_density(rng, rows, cols)
+        m = sparse(dense, cols)
+        assert_matches(m, dense, (rows, cols))
+        assert sum(map(len, m.nz)) == sum(1 for row in dense for x in row if x)
+        assert m.nums == tuple(int(x * m.den) for row in dense for x in row)
+        assert matrix_to_json(m) == [[str(x) for x in row] for row in dense]
+
+
+def test_identity_and_swap_match_dense():
+    for n in range(7):
+        assert_matches(Matrix.identity(n), dense_identity(n), (n, n))
+        assert_matches(Matrix.zeros(n, 3), [[Fraction(0)] * 3 for _ in range(n)], (n, 3))
+    for d1 in range(5):
+        for d2 in range(5):
+            assert_matches(swap_matrix(d1, d2), dense_swap(d1, d2), (d1 * d2, d1 * d2))
+
+
+def test_products_match_dense():
+    rng = random.Random(43)
+    shapes = [(0, 2, 3), (2, 0, 3), (2, 3, 0), (0, 0, 0)]
+    shapes += [tuple(rng.randint(1, 6) for _ in range(3)) for _ in range(150)]
+    for n, k, m in shapes:
+        a, b = mixed_density(rng, n, k), mixed_density(rng, k, m)
+        assert_matches(matmul(sparse(a, k), sparse(b, m)), dense_mul(a, b, m), (n, m))
+    # a row whose products cancel keeps no entry
+    assert matmul(Matrix.row([1, 1]), Matrix.column([1, -1])).nz == ((),)
+
+
+def test_kron_matches_dense():
+    rng = random.Random(47)
+    shapes = [(0, 3, 2, 2), (3, 0, 2, 2), (2, 2, 0, 3), (2, 2, 3, 0), (0, 0, 0, 0)]
+    shapes += [tuple(rng.randint(1, 4) for _ in range(4)) for _ in range(100)]
+    for ra, ca, rb, cb in shapes:
+        a, b = mixed_density(rng, ra, ca), mixed_density(rng, rb, cb)
+        want = reference_kron(a, b, ca, cb)
+        assert_matches(kron(sparse(a, ca), sparse(b, cb)), want, (ra * rb, ca * cb))
+
+
+def test_transpose_reshape_scale_match_dense():
+    rng = random.Random(53)
+    for rows, cols in random_shapes(rng, 80):
+        dense = mixed_density(rng, rows, cols)
+        m = sparse(dense, cols)
+        assert_matches(m.transpose(), dense_transpose(dense, cols), (cols, rows))
+        size = rows * cols
+        shapes = [(r, size // r) for r in range(1, size + 1) if size % r == 0] or [(0, 5), (5, 0)]
+        for r, c in shapes:
+            assert_matches(m.reshape(r, c), dense_reshape(dense, r, c), (r, c))
+        factor = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        assert_matches(m.scale(factor), [[x * factor for x in row] for row in dense], (rows, cols))
+
+
+def test_first_difference_matches_dense():
+    rng = random.Random(59)
+    for rows, cols in random_shapes(rng, 120):
+        a = mixed_density(rng, rows, cols)
+        b = [list(row) for row in a]
+        for _ in range(rng.randint(0, 2)):
+            if rows and cols:
+                i, j = rng.randrange(rows), rng.randrange(cols)
+                b[i][j] = rng.choice((Fraction(0), Fraction(1, 7), b[i][j] * 2))
+        assert sparse(a, cols).first_difference(sparse(b, cols)) == dense_first_difference(a, b)
+        other = mixed_density(rng, rows, cols)
+        assert sparse(a, cols).first_difference(sparse(other, cols)) == dense_first_difference(a, other)
+
+
+def test_rank_and_inverse_match_dense():
+    rng = random.Random(61)
+    inverted = 0
+    for rows, cols in random_shapes(rng, 120):
+        dense = mixed_density(rng, rows, cols)
+        m = sparse(dense, cols)
+        assert rank(m) == reference_reduce(dense, cols)[0]
+        square = mixed_density(rng, rows, rows)
+        want = reference_inverse(square)
+        if want is None:
+            with pytest.raises(ShapeError):
+                inverse(sparse(square, rows))
+        else:
+            assert_matches(inverse(sparse(square, rows)), want, (rows, rows))
+            inverted += 1
+    assert inverted > 20
+
+
+# --- the evaluator against a dense evaluator -------------------------------
+
+
+def dense_eval(t, interp):
+    """Evaluate a term over dense Fraction rows: explicit identities,
+    swaps, products and Kronecker products."""
+    if isinstance(t, Gen):
+        return interp.gen_matrix[t.name].to_lists()
+    if isinstance(t, Id):
+        return dense_identity(interp.dim(t.word))
+    if isinstance(t, Swap):
+        return dense_swap(interp.dim(t.left), interp.dim(t.right))
+    if isinstance(t, Compose):
+        src, _ = typecheck(t.first, interp.sig)
+        return dense_mul(dense_eval(t.then, interp), dense_eval(t.first, interp), interp.dim(src))
+    left_src, _ = typecheck(t.left, interp.sig)
+    right_src, _ = typecheck(t.right, interp.sig)
+    return reference_kron(
+        dense_eval(t.left, interp), dense_eval(t.right, interp), interp.dim(left_src), interp.dim(right_src)
+    )
+
+
+def sparse_noise_interpretation():
+    """Random rational generator matrices at dimension 2, about half of
+    their entries zero, so the designated duality terms are not
+    symmetric and rows of every density occur."""
+    rng = random.Random(67)
+    sig = bord2_signature()
+    noise = {}
+    for name, (src, tgt) in sig.g1.items():
+        r, c = 2 ** len(tgt), 2 ** len(src)
+        noise[name] = Matrix(r, c, [x for row in mixed_density(rng, r, c) for x in row])
+    return Interpretation(sig, {"S1": 2}, noise)
+
+
+EVAL_INTERPRETATIONS = {
+    "z2": frobenius_interpretation(group_algebra(cyclic_group(2))),
+    "milnor:3": frobenius_interpretation(milnor_ring(3)),
+    "noise": sparse_noise_interpretation(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVAL_INTERPRETATIONS))
+@settings(max_examples=60, deadline=None)
+@given(rng=st.randoms(use_true_random=False), depth=st.integers(min_value=1, max_value=5))
+def test_eval_term_matches_dense_evaluator(name, rng, depth):
+    interp = EVAL_INTERPRETATIONS[name]
+    t = random_term(rng, interp.sig, depth)
+    src, tgt = typecheck(t, interp.sig)
+    assume(interp.dim(src) * interp.dim(tgt) <= 6561)
+    assert eval_term(t, interp).to_lists() == dense_eval(t, interp)

@@ -67,6 +67,43 @@ class TestTypecheck:
         assert err.value.found == ("S1", "S1")
         assert err.value.path == ()
 
+    def test_deep_terms_need_no_recursion(self):
+        sig = bord2_signature()
+        chain = Gen("cap")
+        for _ in range(5000):
+            chain = Compose(chain, Compose(Gen("copants"), Gen("pants")))
+        assert typecheck(Compose(chain, Gen("cup")), sig) == ((), ())
+        wide = Id(("S1",))
+        for _ in range(3000):
+            wide = Tensor(Gen("cup"), wide)
+        assert typecheck(wide, sig) == (("S1",) * 3001, ("S1",))
+
+    def test_error_paths_in_deep_terms(self):
+        sig = bord2_signature()
+        deep = Gen("trousers")
+        for _ in range(3000):
+            deep = Compose(deep, Id(("S1",)))
+        with pytest.raises(UnknownGenerator) as err:
+            typecheck(deep, sig)
+        assert err.value.path == ("first",) * 3000
+        late = Compose(Compose(Gen("cap"), Gen("copants")), Id(("S2",)))
+        with pytest.raises(UnknownObject) as err:
+            typecheck(late, sig)
+        assert err.value.path == ("then",)
+
+    def test_shared_bad_subterm_fails_at_its_first_occurrence(self):
+        sig = bord2_signature()
+        bad = Compose(Gen("cup"), Gen("cap"))  # fine: S1 -> () -> S1
+        mismatch = Compose(Gen("cap"), Gen("pants"))  # () -> S1 then S1,S1 -> S1
+        t = Tensor(Compose(bad, Id(("S1",))), Tensor(mismatch, mismatch))
+        with pytest.raises(ComposeMismatch) as err:
+            typecheck(t, sig)
+        assert err.value.path == ("right", "left")
+        unknown = Gen("trousers")
+        with pytest.raises(UnknownGenerator) as err:
+            typecheck(Compose(unknown, unknown), sig)
+        assert err.value.path == ("first",)
+
     def test_compositionality(self):
         # endpoints of a term depend only on endpoints of subterms
         sig = bord2_signature()
