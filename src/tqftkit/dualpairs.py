@@ -14,7 +14,9 @@ common dimension.
 
 The Zorro moves are not written out here: the constructor checks them
 as the two snake relations of that signature, run through the evaluator
-by ``check_relations``.
+by ``check_relations``.  Nor are the shapes of ``b`` and ``d``: they are
+the types of ``coev`` and ``ev``, checked when the constructor builds
+the interpretation.
 """
 
 from __future__ import annotations
@@ -70,14 +72,6 @@ class DualPair:
     def __post_init__(self):
         if self.dim_u < 1 or self.dim_v < 1:
             raise ShapeError("dual pair dimensions must be positive")
-        if self.b.shape != (self.dim_u * self.dim_v, 1):
-            raise ShapeError(
-                f"copairing must be {self.dim_u * self.dim_v}x1, got {self.b.rows}x{self.b.cols}"
-            )
-        if self.d.shape != (1, self.dim_v * self.dim_u):
-            raise ShapeError(
-                f"pairing must be 1x{self.dim_v * self.dim_u}, got {self.d.rows}x{self.d.cols}"
-            )
         failing = check_relations(dual_pair_interpretation(self)).failing()
         if failing:
             raise ZorroViolation(failing[0], "does not give the identity")

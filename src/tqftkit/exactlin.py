@@ -1,4 +1,4 @@
-"""Sparse matrices over the exact rationals.
+"""Exact rational scalars and sparse linear algebra.
 
 A ``Matrix`` stores only its nonzero entries: ``nz[i]`` is row i as a
 tuple of ``(column, numerator)`` pairs, sorted by column, with no zero
@@ -434,7 +434,7 @@ def matrix_to_json(a: Matrix) -> list[list[str]]:
     return [[scalar_to_str(x) for x in row] for row in a.to_lists()]
 
 
-def matrix_from_json(obj, expect_shape: tuple[int, int] | None = None) -> Matrix:
+def matrix_from_json(obj) -> Matrix:
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise ValueError("matrix JSON must be a list of rows")
     rows = len(obj)
@@ -444,7 +444,4 @@ def matrix_from_json(obj, expect_shape: tuple[int, int] | None = None) -> Matrix
         if len(r) != cols:
             raise ValueError("matrix JSON has ragged rows")
         flat.extend(scalar_from_str(x) for x in r)
-    m = Matrix(rows, cols, flat)
-    if expect_shape is not None and m.shape != expect_shape:
-        raise ShapeError(f"expected {expect_shape[0]}x{expect_shape[1]}, got {rows}x{cols}")
-    return m
+    return Matrix(rows, cols, flat)

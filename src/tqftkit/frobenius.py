@@ -2,7 +2,11 @@
 
 The full presentation carries a product, unit, coproduct and counit on a
 basis-equipped space; the economy presentation carries only the algebra
-and a nondegenerate invariant bilinear pairing.  ``from_economy`` and
+and a nondegenerate invariant bilinear pairing.  The structure maps are
+the values of the generators pants, cap, copants and cup of the circle
+signature ``bord2_signature``, so their shapes are the ones those
+generators' types give; they are checked once, by building the
+interpretation of that signature.  ``from_economy`` and
 ``to_economy`` convert between the two: the counit is pairing against
 the unit, the coproduct tensors against the copairing (the inverse Gram
 matrix), and in the other direction the pairing is the counit of a
@@ -31,7 +35,6 @@ evaluating it on the grid {0..dim}^dim decides that deterministically.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import asdict, dataclass
 from functools import cache
 from typing import Optional, Sequence
@@ -178,9 +181,12 @@ _AXIOM_RELATIONS = {
 class FrobeniusAlgebra:
     """Structure maps of a Frobenius algebra on a chosen basis.
 
-    Shapes: mu is dim x dim^2, eta is dim x 1, delta is dim^2 x dim and
-    eps is 1 x dim.  Only shapes are enforced here; the axioms are a
-    separate, reportable check.
+    mu, eta, delta and eps interpret pants, cap, copants and cup of the
+    circle signature, whose generator types fix their shapes (mu is
+    dim x dim^2, eta dim x 1, delta dim^2 x dim, eps 1 x dim).  The
+    constructor checks them by building ``circle_interpretation``, which
+    raises ShapeError naming the generator.  Only shapes are enforced
+    here; the axioms are a separate, reportable check.
     """
 
     dim: int
@@ -191,20 +197,10 @@ class FrobeniusAlgebra:
     basis_names: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
-        n = self.dim
-        if n < 1:
+        if self.dim < 1:
             raise ShapeError("dimension must be positive")
-        for name, mat, shape in (
-            ("mu", self.mu, (n, n * n)),
-            ("eta", self.eta, (n, 1)),
-            ("delta", self.delta, (n * n, n)),
-            ("eps", self.eps, (1, n)),
-        ):
-            if mat.shape != shape:
-                raise ShapeError(
-                    f"{name} must be {shape[0]}x{shape[1]}, got {mat.rows}x{mat.cols}"
-                )
-        if self.basis_names is not None and len(self.basis_names) != n:
+        circle_interpretation(self)
+        if self.basis_names is not None and len(self.basis_names) != self.dim:
             raise ShapeError("basis_names length must equal dim")
 
 
@@ -266,10 +262,6 @@ def check_axioms(alg: FrobeniusAlgebra) -> AxiomReport:
 def _check_algebra(dim: int, mu: Matrix, eta: Matrix) -> None:
     if dim < 1:
         raise ShapeError("dimension must be positive")
-    if mu.shape != (dim, dim * dim):
-        raise ShapeError(f"mu must be {dim}x{dim * dim}, got {mu.rows}x{mu.cols}")
-    if eta.shape != (dim, 1):
-        raise ShapeError(f"eta must be {dim}x1, got {eta.rows}x{eta.cols}")
     interp = Interpretation(_algebra_signature(), {"S1": dim}, {"pants": mu, "cap": eta})
     failing = check_relations(interp).failing()
     if "R1a_assoc" in failing:
@@ -300,21 +292,19 @@ def from_economy(
     found = rank(gram)
     if found < dim:
         raise PairingDegenerate(found, dim)
-    eye = Matrix.identity(dim)
-    form = gram.reshape(1, dim * dim)  # <a, b> as a map V (x) V -> k
-    mu_id = kron(mu, eye)
-    # <a.b, c> and <a, b.c> on the basis triple (i, j, k), at i*dim^2 + j*dim + k
-    lhs = matmul(form, mu_id)
-    rhs = matmul(form, kron(eye, mu))
+    # <b_i.b_j, b_k> and <b_i, b_j.b_k> at row i*dim + j, column k
+    lhs = matmul(mu.transpose(), gram)
+    rhs = matmul(gram, mu).reshape(dim * dim, dim)
     differs = lhs.first_difference(rhs)
     if differs is not None:
-        i, jk = divmod(differs, dim * dim)
-        raise PairingNotInvariant((i, *divmod(jk, dim)))
+        row, col = divmod(differs, dim)
+        raise PairingNotInvariant((*divmod(row, dim), col))
     # eps(a) = <a, unit>
-    eps = matmul(form, kron(eye, eta))
+    eps = matmul(gram, eta).transpose()
     # delta(a) = (mu (x) id)(a (x) c) with c the flattened inverse Gram matrix
+    eye = Matrix.identity(dim)
     c = inverse(gram).reshape(dim * dim, 1)
-    delta = matmul(mu_id, kron(eye, c))
+    delta = matmul(kron(mu, eye), kron(eye, c))
     return FrobeniusAlgebra(
         dim, mu, eta, delta, eps,
         tuple(basis_names) if basis_names is not None else None,
@@ -402,18 +392,13 @@ def algebra_from_json(obj: dict) -> FrobeniusAlgebra:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed algebra JSON: {exc}") from exc
     basis = tuple(obj["basis"]) if "basis" in obj else None
-    mu = matrix_from_json(obj["mu"], (dim, dim * dim))
+    mu = matrix_from_json(obj["mu"])
     eta = Matrix(dim, 1, [scalar_from_str(x) for x in obj["eta"]])
     if "pairing" in obj:
-        gram = matrix_from_json(obj["pairing"], (dim, dim))
+        gram = matrix_from_json(obj["pairing"])
         return from_economy(dim, mu, eta, BilinearPairing(dim, gram), basis)
     if "delta" not in obj or "eps" not in obj:
         raise ValueError("algebra JSON needs either 'pairing' or 'delta'+'eps'")
-    delta = matrix_from_json(obj["delta"], (dim * dim, dim))
+    delta = matrix_from_json(obj["delta"])
     eps = Matrix(1, dim, [scalar_from_str(x) for x in obj["eps"]])
     return FrobeniusAlgebra(dim, mu, eta, delta, eps, basis)
-
-
-def load_algebra(path: str) -> FrobeniusAlgebra:
-    with open(path, "r", encoding="utf-8") as fh:
-        return algebra_from_json(json.load(fh))

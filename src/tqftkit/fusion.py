@@ -15,7 +15,6 @@ its iterated product.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -241,8 +240,3 @@ def fusion_ring_from_json(obj: dict) -> FusionRing:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed fusion ring JSON: {exc}") from exc
     return FusionRing(labels, dual, table)
-
-
-def load_fusion_ring(path: str) -> FusionRing:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fusion_ring_from_json(json.load(fh))

@@ -15,6 +15,12 @@ A closed genus-g surface is evaluated through the canonical
 decomposition ``cap ; (copants ; pants)^g ; cup``; its value is the
 counit of the g-th power of the handle operator mu . delta applied to
 the unit, and at genus one it equals the algebra's dimension.
+
+Reduction along the circle turns the algebra into a dual pair whose
+copairing and pairing are the signature's designated duality for
+``S1``, evaluated under ``frobenius_interpretation``; the relation check
+behind that interpretation is the one gate on commutative Frobenius
+algebras.
 """
 
 from __future__ import annotations
@@ -25,13 +31,7 @@ from fractions import Fraction
 from .dualpairs import DualPair
 from .evaluate import Interpretation, check_relations, eval_term
 from .exactlin import Matrix, matmul
-from .frobenius import (
-    AxiomReport,
-    FrobeniusAlgebra,
-    bord2_signature,
-    check_axioms,
-    circle_interpretation,
-)
+from .frobenius import AxiomReport, FrobeniusAlgebra, bord2_signature, circle_interpretation
 from .terms import Compose, Gen, Term, render_term
 
 __all__ = [
@@ -155,14 +155,15 @@ def connected_sum_identity(alg: FrobeniusAlgebra, term_m: Term, term_n: Term) ->
 def reduce_along_circle(alg: FrobeniusAlgebra) -> DualPair:
     """Dimensional reduction to a dual pair.
 
-    The bent cylinders evaluate to the copairing delta . eta and the
-    pairing eps . mu; the snake identities hold in any Frobenius
-    algebra, so the dual-pair constructor accepts the result, and its
-    loop value reproduces the torus invariant.
+    The copairing and pairing are the values of the circle's designated
+    duality terms ``cap ; copants`` and ``pants ; cup`` under
+    ``frobenius_interpretation``, which raises unless the algebra is a
+    commutative Frobenius algebra.  The snake identities then hold, so
+    the dual-pair constructor accepts the result, and its loop value
+    reproduces the torus invariant.
     """
-    report = check_axioms(alg)
-    if not (report.is_frobenius and report.commutative):
-        raise ValueError("reduction needs a commutative Frobenius algebra")
-    b = matmul(alg.delta, alg.eta)
-    d = matmul(alg.eps, alg.mu)
+    interp = frobenius_interpretation(alg)
+    duality = interp.sig.duality["S1"]
+    b = eval_term(duality.coev, interp)
+    d = eval_term(duality.pairing, interp)
     return DualPair(alg.dim, alg.dim, b, d)

@@ -23,7 +23,6 @@ single-label swaps look like ``swap[S1,S1]``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -214,11 +213,6 @@ class Signature:
                 raise ValueError(f"coevaluation for {label!r} must be () -> ({label},{label})")
             if ps != (label, label) or pt != ():
                 raise ValueError(f"pairing for {label!r} must be ({label},{label}) -> ()")
-
-    def generator_term(self, name: str) -> Gen:
-        if name not in self.g1:
-            raise UnknownGenerator(name)
-        return Gen(name)
 
     def __repr__(self) -> str:
         return (
@@ -527,8 +521,3 @@ def signature_from_json(obj: dict) -> Signature:
             pairing=parse_term(spec["pairing"], sig),
         )
     return Signature(g0, g1, relations, duality)
-
-
-def load_signature(path: str) -> Signature:
-    with open(path, "r", encoding="utf-8") as fh:
-        return signature_from_json(json.load(fh))

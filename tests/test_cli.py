@@ -218,6 +218,12 @@ class TestErrorDiagnostics:
         assert code == 2
         assert "wrong_shape.json" in err
 
+    def test_wrong_shape_in_full_form(self, capout):
+        code, out, err = capout("check", "--algebra", fx("wrong_shape_full.json"))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "wrong_shape_full.json" in err and "generator 'copants'" in err
+
     def test_degenerate_pairing(self, capout):
         code, _, err = capout("check", "--algebra", fx("degenerate_pairing.json"))
         assert code == 2
@@ -237,6 +243,11 @@ class TestErrorDiagnostics:
         code, _, err = capout("check", "--algebra", "nowhere/missing.json")
         assert code == 2
         assert "missing.json" in err
+
+    def test_noncommutative_algebra_for_reduce(self, capout):
+        code, out, err = capout("reduce", "--algebra", "s3")
+        assert code == 2 and out == ""
+        assert err == "error: s3: algebra is not commutative; the R4 relations would fail\n"
 
     def test_noncommutative_algebra_for_eval(self, capout):
         code, _, err = capout("eval", "--algebra", "s3", "--term", "pants")

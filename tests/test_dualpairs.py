@@ -64,6 +64,13 @@ class TestDualPair:
             DualPair(2, 2, Matrix(4, 1, [1, 0, 0, 0]), good.d)
         assert err.value.side
 
+    def test_wrong_shapes_name_the_generator(self):
+        good = standard_pair(2)
+        with pytest.raises(ShapeError, match="generator 'coev': expected 4x1"):
+            DualPair(2, 2, Matrix(3, 1, [1, 0, 1]), good.d)
+        with pytest.raises(ShapeError, match="generator 'ev': expected 1x4"):
+            DualPair(2, 2, good.b, good.b)
+
     def test_rectangular_impossible(self):
         # a 1x2 "pair": shapes fit but no snake can hold
         b = Matrix(2, 1, [1, 0])

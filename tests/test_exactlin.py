@@ -24,7 +24,7 @@ from tqftkit.exactlin import (
     scalar_to_str,
     swap_matrix,
 )
-from tqftkit.exactlin.matrix import _reduce
+from tqftkit.exactlin import _reduce
 from tqftkit.surfaces import frobenius_interpretation
 from tqftkit.terms import parse_term
 

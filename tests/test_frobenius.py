@@ -64,6 +64,30 @@ class TestCheckAxioms:
         assert report.assoc and report.unit and report.coassoc
 
 
+class TestShapes:
+    """Structure maps must have the shapes of the circle generators' types;
+    the error names the generator."""
+
+    @pytest.mark.parametrize("field,generator,wrong", [
+        ("mu", "pants", Matrix.zeros(2, 2)),
+        ("eta", "cap", Matrix.zeros(1, 2)),
+        ("delta", "copants", Matrix.zeros(2, 4)),
+        ("eps", "cup", Matrix.zeros(2, 1)),
+    ])
+    def test_wrong_structure_map_names_generator(self, z2, field, generator, wrong):
+        maps = {"mu": z2.mu, "eta": z2.eta, "delta": z2.delta, "eps": z2.eps}
+        maps[field] = wrong
+        with pytest.raises(ShapeError, match=f"generator '{generator}'"):
+            FrobeniusAlgebra(2, **maps)
+
+    def test_wrong_product_in_economy_and_form_search(self, z2):
+        mu = Matrix.zeros(2, 3)
+        with pytest.raises(ShapeError, match="generator 'pants': expected 2x4"):
+            from_economy(2, mu, z2.eta, BilinearPairing(2, Matrix.identity(2)))
+        with pytest.raises(ShapeError, match="generator 'pants': expected 2x4"):
+            admits_frobenius_form(2, mu, z2.eta)
+
+
 class TestFromEconomy:
     def test_z2_delta_and_eps(self, z2):
         # gram [[1,0],[0,1]] since each element is its own inverse

@@ -15,7 +15,7 @@ from tqftkit.algebras import (
 )
 from tqftkit.dualpairs import dual_pair_interpretation, loop_value
 from tqftkit.evaluate import Interpretation, check_relations, eval_term
-from tqftkit.exactlin import Matrix
+from tqftkit.exactlin import Matrix, matmul
 from tqftkit.frobenius import BilinearPairing, FrobeniusAlgebra, from_economy
 from tqftkit.surfaces import (
     NotCommutative,
@@ -252,14 +252,23 @@ class TestReduction:
         for name, alg in eleven_algebras():
             pair = reduce_along_circle(alg)
             assert loop_value(pair) == surface_invariant(alg, 1) == alg.dim, name
+            # the bent cylinders: copairing delta . eta, pairing eps . mu
+            assert pair.b == matmul(alg.delta, alg.eta), name
+            assert pair.d == matmul(alg.eps, alg.mu), name
 
     def test_reduction_passes_loop_relations(self):
         pair = reduce_along_circle(milnor_ring(4))
         assert check_relations(dual_pair_interpretation(pair)).ok
 
     def test_rejects_noncommutative(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NotCommutative):
             reduce_along_circle(group_algebra(symmetric_group(3)))
+
+    def test_rejects_broken_counit(self):
+        z2 = group_algebra(cyclic_group(2))
+        broken = FrobeniusAlgebra(2, z2.mu, z2.eta, z2.delta, Matrix.zeros(1, 2))
+        with pytest.raises(ValueError, match="failing axioms: counit"):
+            reduce_along_circle(broken)
 
 
 class TestHandleOperator:
