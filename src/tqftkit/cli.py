@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from . import algebras, dualpairs, fusion, surfaces
 from .evaluate import Interpretation, check_relations, eval_term, bend_state, reconstruct_map
@@ -96,7 +97,7 @@ def _load_interpretation(sig_spec: str, algebra_spec: str) -> Interpretation:
         dims = {k: int(v) for k, v in obj["dims"].items()}
         mats = {k: matrix_from_json(v) for k, v in obj["matrices"].items()}
         return Interpretation(sig, dims, mats)
-    except (KeyError, TypeError, ValueError, ShapeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise _fail(algebra_spec, f"bad interpretation: {exc}") from exc
 
 
@@ -232,7 +233,8 @@ def _cmd_recon(args) -> int:
     return 0 if agree else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tqftkit",
         description="Evaluate bordism-style term languages as exact linear maps.",
@@ -289,9 +291,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors, 0 on --help; keep its choice
         return int(exc.code or 0)

@@ -173,24 +173,19 @@ def dual_pair_to_json(pair: DualPair) -> dict:
     }
 
 
-def _column_from_json(obj, length: int) -> Matrix:
+def _vector_from_json(obj, rows: int, cols: int) -> Matrix:
+    """A rows x cols vector from a flat list of scalars, or a list of rows."""
     if obj and isinstance(obj[0], list):
         return matrix_from_json(obj)
-    return Matrix(length, 1, [scalar_from_str(x) for x in obj])
-
-
-def _row_from_json(obj, length: int) -> Matrix:
-    if obj and isinstance(obj[0], list):
-        return matrix_from_json(obj)
-    return Matrix(1, length, [scalar_from_str(x) for x in obj])
+    return Matrix(rows, cols, [scalar_from_str(x) for x in obj])
 
 
 def dual_pair_from_json(obj: dict) -> DualPair:
     try:
         dim_u = int(obj["dimU"])
         dim_v = int(obj["dimV"])
-        b = _column_from_json(obj["b"], dim_u * dim_v)
-        d = _row_from_json(obj["d"], dim_v * dim_u)
-    except (KeyError, TypeError) as exc:
+        b = _vector_from_json(obj["b"], dim_u * dim_v, 1)
+        d = _vector_from_json(obj["d"], 1, dim_v * dim_u)
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed dual pair JSON: {exc}") from exc
     return DualPair(dim_u, dim_v, b, d)

@@ -8,11 +8,10 @@ composition ``s ; t`` becomes the matrix product eval(t) . eval(s), and
 a swap becomes the block-transposition permutation of the two word
 dimensions.
 
-``check_relations`` is the one law checker: it evaluates each distinct
-relation side once and reports, per relation pair, the first entry where
-the two sides differ.  The Frobenius axioms are the relations of the
-circle signature and the Zorro moves those of the point signature, so
-both are checked here.
+``relation_values`` yields each relation with the values of its two
+sides, each distinct side evaluated once; ``check_relations`` reports the
+first entry where they differ.  The Frobenius axioms, the Zorro moves and
+the fusion-ring laws are all relations evaluated here.
 
 The module also implements the closed-state calculus: ``bend_state``
 turns a map E -> F into a state () -> F . E* by precomposing with the
@@ -29,7 +28,7 @@ snake identities exact without any permutations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .exactlin import Matrix, ShapeError, kron, matmul, swap_matrix
 from .terms import (
@@ -56,6 +55,7 @@ __all__ = [
     "check_relations",
     "eval_term",
     "reconstruct_map",
+    "relation_values",
 ]
 
 
@@ -178,37 +178,28 @@ class RelationReport:
                 {
                     "name": c.relation.name,
                     "ok": c.ok,
-                    "mismatch": None
-                    if c.ok
-                    else {
-                        "row": c.mismatch[0],
-                        "col": c.mismatch[1],
-                        "lhs": c.mismatch[2],
-                        "rhs": c.mismatch[3],
-                    },
+                    "mismatch": None if c.ok else dict(zip(("row", "col", "lhs", "rhs"), c.mismatch)),
                 }
                 for c in self.checks
             ],
         }
 
 
-def check_relations(interp: Interpretation) -> RelationReport:
-    """Evaluate both sides of every relation pair; failures are data.
-
-    Each distinct relation side is evaluated once per call, however many
-    relations share it (the three Frobenius pairs share three terms).
-    """
+def relation_values(interp: Interpretation) -> Iterator[tuple[Relation, Matrix, Matrix]]:
+    """Each relation with the values of its two sides, each distinct side
+    evaluated once and none typechecked (the signature typechecked them)."""
     values: dict[Term, Matrix] = {}
-
-    def value(t: Term) -> Matrix:
-        if t not in values:
-            values[t] = eval_term(t, interp)
-        return values[t]
-
-    checks = []
     for rel in interp.sig.g2:
-        lhs = value(rel.lhs)
-        rhs = value(rel.rhs)
+        for side in (rel.lhs, rel.rhs):
+            if side not in values:
+                values[side] = _eval(side, interp)
+        yield rel, values[rel.lhs], values[rel.rhs]
+
+
+def check_relations(interp: Interpretation) -> RelationReport:
+    """Compare both sides of every relation pair; failures are data."""
+    checks = []
+    for rel, lhs, rhs in relation_values(interp):
         mismatch = None
         differs = lhs.first_difference(rhs)
         if differs is not None:

@@ -21,8 +21,8 @@ result; no kernel builds a ``Fraction`` per entry.  Their costs, with
   accumulator of ``b.cols`` entries; a row of ``a`` with one nonzero
   (identity padding, swaps) scales a row of ``b`` and needs none.
 * ``kron(a, b)`` costs ``nnz(a) * nnz(b)`` plus one step per result row.
-* ``transpose``, ``reshape``, ``scale`` and ``first_difference`` cost
-  ``nnz`` plus one step per row.
+* ``transpose``, ``reshape``, ``scale`` and ``differences`` cost ``nnz``
+  plus one step per row.
 * ``rank`` and ``inverse`` unpack the nonzero rows to dense integer rows
   for one fraction-free Gauss-Jordan elimination (``_reduce``).
 
@@ -45,7 +45,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 # The kernels are pure Python; the name is kept for reports that record it.
 BACKEND = "python"
@@ -257,13 +257,12 @@ class Matrix:
             self.den * f.denominator,
         )
 
-    def first_difference(self, other: "Matrix") -> int | None:
-        """Row-major index of the first entry where two matrices of one
-        shape differ, or None when they are equal."""
+    def differences(self, other: "Matrix") -> Iterator[int]:
+        """Row-major indices, in increasing order, where two same-shape matrices differ."""
         if self.shape != other.shape:
             raise ShapeError(f"cannot compare {self.rows}x{self.cols} with {other.rows}x{other.cols}")
         if self == other:
-            return None
+            return
         da, db = self.den, other.den
         for i, (ra, rb) in enumerate(zip(self.nz, other.nz)):
             if ra == rb and da == db:
@@ -271,8 +270,11 @@ class Matrix:
             a, b = dict(ra), dict(rb)
             for j in sorted(a.keys() | b.keys()):
                 if a.get(j, 0) * db != b.get(j, 0) * da:
-                    return i * self.cols + j
-        return None
+                    yield i * self.cols + j
+
+    def first_difference(self, other: "Matrix") -> int | None:
+        """The first of ``differences``, or None when the matrices are equal."""
+        return next(self.differences(other), None)
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and self == Matrix.identity(self.rows)

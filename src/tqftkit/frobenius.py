@@ -155,14 +155,14 @@ _ALGEBRA_LAWS = ("R1a_assoc", "R2a_unit_left", "R2b_unit_right")
 
 
 @cache
-def _algebra_signature() -> Signature:
-    """The circle signature restricted to pants and cap, with the
-    associativity and unit relations only."""
+def _algebra_signature(laws: tuple[str, ...] = _ALGEBRA_LAWS) -> Signature:
+    """The circle signature restricted to pants and cap, with the named
+    relations only (by default associativity and the unit laws)."""
     bord2 = bord2_signature()
     return Signature(
         bord2.g0,
         {name: bord2.g1[name] for name in ("pants", "cap")},
-        [rel for rel in bord2.g2 if rel.name in _ALGEBRA_LAWS],
+        [rel for rel in bord2.g2 if rel.name in laws],
     )
 
 
@@ -389,16 +389,20 @@ def algebra_from_json(obj: dict) -> FrobeniusAlgebra:
     """
     try:
         dim = int(obj["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed algebra JSON: {exc}") from exc
-    basis = tuple(obj["basis"]) if "basis" in obj else None
-    mu = matrix_from_json(obj["mu"])
-    eta = Matrix(dim, 1, [scalar_from_str(x) for x in obj["eta"]])
-    if "pairing" in obj:
-        gram = matrix_from_json(obj["pairing"])
+    try:
+        basis = tuple(obj["basis"]) if "basis" in obj else None
+        mu = matrix_from_json(obj["mu"])
+        eta = Matrix(dim, 1, [scalar_from_str(x) for x in obj["eta"]])
+        gram = matrix_from_json(obj["pairing"]) if "pairing" in obj else None
+        if gram is None:
+            if "delta" not in obj or "eps" not in obj:
+                raise ValueError("algebra JSON needs either 'pairing' or 'delta'+'eps'")
+            delta = matrix_from_json(obj["delta"])
+            eps = Matrix(1, dim, [scalar_from_str(x) for x in obj["eps"]])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed algebra JSON: {exc}") from exc
+    if gram is not None:
         return from_economy(dim, mu, eta, BilinearPairing(dim, gram), basis)
-    if "delta" not in obj or "eps" not in obj:
-        raise ValueError("algebra JSON needs either 'pairing' or 'delta'+'eps'")
-    delta = matrix_from_json(obj["delta"])
-    eps = Matrix(1, dim, [scalar_from_str(x) for x in obj["eps"]])
     return FrobeniusAlgebra(dim, mu, eta, delta, eps, basis)

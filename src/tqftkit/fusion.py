@@ -3,9 +3,12 @@
 A fusion ring is a based ring: labels with a distinguished unit (index
 0), a dual involution, and nonnegative-integer structure constants
 ``N[i][j][k]`` counting how often label k occurs in the product of i
-and j.  Validation checks unit laws, associativity, the duality law
-(the unit occurs in i.j exactly when j is the dual of i, with
-multiplicity one), and that the involution squares to the identity.
+and j.  The structure matrix mu (N[i][j][k] at row k, column i*r + j)
+and the unit label interpret pants and cap, and the unit laws,
+associativity and commutativity are the circle relations R2a, R2b, R1a
+and R4a on them.  The duality law (the unit occurs in i.j exactly when
+j is the dual of i, with multiplicity one) and that the involution
+squares to the identity are checked directly.
 
 For a commutative ring, extending scalars and pairing <i, j> = [j ==
 dual(i)] yields a commutative Frobenius algebra; the dimension of the
@@ -15,11 +18,13 @@ its iterated product.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
+from .evaluate import Interpretation, relation_values
 from .exactlin import Matrix
-from .frobenius import BilinearPairing, FrobeniusAlgebra, from_economy
+from .frobenius import BilinearPairing, FrobeniusAlgebra, _algebra_signature, from_economy
 
 __all__ = [
     "FusionRing",
@@ -34,6 +39,9 @@ __all__ = [
     "validate_fusion_ring",
     "vec_z",
 ]
+
+
+_RING_LAWS = ("R1a_assoc", "R2a_unit_left", "R2b_unit_right", "R4a_commutative")
 
 
 class NotCommutativeRing(ValueError):
@@ -86,29 +94,31 @@ class FusionRingReport:
 
 
 def validate_fusion_ring(ring: FusionRing) -> FusionRingReport:
-    failures = []
-    r = ring.rank
-    n = ring.n
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
-                v = n[i][j][k]
-                if not isinstance(v, int) or v < 0:
-                    failures.append(("nonnegative-integer", (i, j, k)))
-    for j in range(r):
-        for k in range(r):
-            if n[0][j][k] != (1 if j == k else 0):
-                failures.append(("left-unit", (j, k)))
-        if any(n[j][0][k] != (1 if j == k else 0) for k in range(r)):
-            failures.append(("right-unit", (j,)))
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
-                for l in range(r):
-                    lhs = sum(n[i][j][m] * n[m][k][l] for m in range(r))
-                    rhs = sum(n[j][k][m] * n[i][m][l] for m in range(r))
-                    if lhs != rhs:
-                        failures.append(("associativity", (i, j, k, l)))
+    """Every failing rule, with its witness.  When a constant is not an
+    ``int`` no law is evaluated: the report lists the nonnegative-integer
+    failures and the dual checks only."""
+    return _validate(ring)[0]
+
+
+def _validate(ring: FusionRing) -> tuple[FusionRingReport, Interpretation | None, dict]:
+    """The report, the ring's interpretation and, per law, the (row, column)
+    of each entry where its sides differ; None and {} if no law is evaluated."""
+    r, n = ring.rank, ring.n
+    cells = {(i, j, k): n[i][j][k] for i, j, k in itertools.product(range(r), repeat=3)}
+    failures = [("nonnegative-integer", at) for at, v in cells.items() if not isinstance(v, int) or v < 0]
+    interp, differs = None, {}
+    if all(isinstance(v, int) for v in cells.values()):
+        mu = Matrix(r, r * r, [n[i][j][k] for k, i, j in itertools.product(range(r), repeat=3)])
+        eta = Matrix.column([1] + [0] * (r - 1))
+        interp = Interpretation(_algebra_signature(_RING_LAWS), {"S1": r}, {"pants": mu, "cap": eta})
+        for rel, lhs, rhs in relation_values(interp):
+            differs[rel.name] = [divmod(x, lhs.cols) for x in lhs.differences(rhs)]
+        units = [("left-unit", (j, k)) for k, j in differs["R2a_unit_left"]]
+        units += [("right-unit", (j,)) for j in {j for _, j in differs["R2b_unit_right"]}]
+        # by label; the stable sort keeps a label's left-unit witnesses first
+        failures += sorted(units, key=lambda failure: failure[1][0])
+        assoc = [(ijk // (r * r), ijk // r % r, ijk % r, l) for l, ijk in differs["R1a_assoc"]]
+        failures += [("associativity", witness) for witness in sorted(assoc)]
     if ring.dual[0] != 0:
         failures.append(("unit-self-dual", (0,)))
     for i in range(r):
@@ -121,7 +131,7 @@ def validate_fusion_ring(ring: FusionRing) -> FusionRingReport:
             expected = 1 if j == ring.dual[i] else 0
             if n[i][j][0] != expected:
                 failures.append(("duality", (i, j)))
-    return FusionRingReport(tuple(failures))
+    return FusionRingReport(tuple(failures)), interp, differs
 
 
 def hom_dimension(ring: FusionRing, word: Sequence[int]) -> int:
@@ -155,29 +165,18 @@ def hom_dimension(ring: FusionRing, word: Sequence[int]) -> int:
 def grothendieck_frobenius(ring: FusionRing) -> FrobeniusAlgebra:
     """Frobenius algebra on the labels with pairing [j == dual(i)].
 
-    Requires a valid, commutative ring; the structure constants become
-    the product, the unit label the unit, and coproduct and counit come
-    out of the economy conversion.
+    Requires a valid ring, commutative by relation R4a; its structure
+    matrix becomes the product, the unit label the unit, and coproduct
+    and counit come out of the economy conversion.
     """
-    report = validate_fusion_ring(ring)
+    report, interp, differs = _validate(ring)
     if not report.ok:
         raise ValueError(f"invalid fusion ring:\n{report.describe()}")
     r = ring.rank
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
-                if ring.n[i][j][k] != ring.n[j][i][k]:
-                    raise NotCommutativeRing((i, j, k))
-    mu_rows = [[0] * (r * r) for _ in range(r)]
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
-                mu_rows[k][i * r + j] = ring.n[i][j][k]
-    mu = Matrix.from_rows(mu_rows)
-    eta = Matrix(r, 1, [1] + [0] * (r - 1))
-    gram = Matrix.from_rows(
-        [[1 if j == ring.dual[i] else 0 for j in range(r)] for i in range(r)]
-    )
+    if differs["R4a_commutative"]:
+        raise NotCommutativeRing(min((ij // r, ij % r, k) for k, ij in differs["R4a_commutative"]))
+    gram = Matrix(r, r, [int(j == d) for d in ring.dual for j in range(r)])
+    mu, eta = interp.gen_matrix["pants"], interp.gen_matrix["cap"]
     return from_economy(r, mu, eta, BilinearPairing(r, gram), ring.labels)
 
 
@@ -230,12 +229,19 @@ def fusion_ring_to_json(ring: FusionRing) -> dict:
     }
 
 
+def _integer(x) -> int:
+    """``x`` as an int; booleans and non-integral numbers are malformed."""
+    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
+        raise ValueError(f"not an integer: {x!r}")
+    return int(x)
+
+
 def fusion_ring_from_json(obj: dict) -> FusionRing:
     try:
         labels = tuple(obj["labels"])
-        dual = tuple(int(x) for x in obj["dual"])
+        dual = tuple(_integer(x) for x in obj["dual"])
         table = tuple(
-            tuple(tuple(int(x) for x in row) for row in plane) for plane in obj["N"]
+            tuple(tuple(_integer(x) for x in row) for row in plane) for plane in obj["N"]
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed fusion ring JSON: {exc}") from exc

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from tqftkit import cli
 from tqftkit.cli import run
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -254,9 +255,68 @@ class TestErrorDiagnostics:
         assert code == 2
         assert "commutative" in err
 
+    def one_error_line(self, code, out, err, *parts):
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert all(part in err for part in parts), err
+
+    def test_algebra_json_without_mu(self, capout, tmp_path):
+        path = tmp_path / "no_mu.json"
+        path.write_text('{"dim": 2}')
+        code, out, err = capout("check", "--algebra", str(path))
+        self.one_error_line(code, out, err, "no_mu.json", "malformed algebra JSON", "'mu'")
+
+    def test_algebra_json_with_scalar_eta(self, capout, tmp_path):
+        path = tmp_path / "scalar_eta.json"
+        path.write_text('{"dim": 2, "mu": [["1", "0", "0", "0"], ["0", "1", "1", "0"]], "eta": 5}')
+        code, out, err = capout("check", "--algebra", str(path))
+        self.one_error_line(code, out, err, "scalar_eta.json", "malformed algebra JSON")
+
+    def test_infinite_dimensions(self, capout, tmp_path):
+        # JSON's 1e999 reads as a float infinity, which int() cannot convert
+        sig = tmp_path / "sig.json"
+        sig.write_text('{"objects": ["x"], "generators": {}, "relations": []}')
+        cases = [
+            (["check", "--algebra"], '{"dim": 1e999}', "malformed algebra JSON"),
+            (["eval", "--sig", "bord1", "--term", "loop", "--algebra"],
+             '{"dimU": 1e999, "dimV": 1, "b": ["1"], "d": ["1"]}', "malformed dual pair JSON"),
+            (["eval", "--sig", str(sig), "--term", "id[x]", "--algebra"],
+             '{"dims": {"x": 1e999}, "matrices": {}}', "bad interpretation"),
+        ]
+        for argv, text, message in cases:
+            path = tmp_path / "infinite.json"
+            path.write_text(text)
+            code, out, err = capout(*argv, str(path))
+            self.one_error_line(code, out, err, "infinite.json", message)
+
+    def test_fusion_json_with_fractional_constant(self, capout, tmp_path):
+        path = tmp_path / "half.json"
+        path.write_text('{"labels": ["1"], "dual": [0], "N": [[[1.5]]]}')
+        code, out, err = capout("fusion", str(path), "--word", "1")
+        self.one_error_line(code, out, err, "half.json", "malformed fusion ring JSON", "1.5")
+
     def test_usage_error(self, capout):
         code, _, err = capout("invariant", "--algebra", "z2")
         assert code == 2
+
+
+class TestOneProcess:
+    def test_subcommands_in_sequence(self, capout):
+        # one parser serves every call; no option of one call leaks into the next
+        runs = [
+            (["invariant", "--algebra", "z2", "--genus", "2"], 0, "4\n"),
+            (["fusion", fx("fib.json"), "--word", "tau,tau,tau,tau"], 0, "2\n"),
+            (["eval", "--algebra", "z2", "--term", "cap ; cup"], 0, '[["1"]]\n'),
+            (["invariant", "--algebra", "z2"], 2, ""),
+            (["fusion", fx("fib.json"), "--genus", "2"], 0, "5\n"),
+            (["invariant", "--algebra", "center:[2]", "--genus", "2", "--json"], 0,
+             '{\n  "genus": 2,\n  "value": "1/2"\n}\n'),
+            (["fusion", fx("bad_fusion.json"), "--word", "tau,tau"], 2, ""),
+            (["invariant", "--algebra", "z2", "--genus", "3"], 0, "8\n"),
+        ]
+        for argv, code, out in runs:
+            assert capout(*argv)[:2] == (code, out), argv
+        assert cli._parser() is cli._parser()
 
 
 class TestDeterminism:

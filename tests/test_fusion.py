@@ -83,6 +83,24 @@ class TestValidation:
         assert not report.ok
         assert any(rule == "dual-involution" or rule == "duality" for rule, _ in report.failures)
 
+    def test_float_constant_gets_a_report(self):
+        # a non-integer constant stops the laws from being evaluated; the
+        # report still lists it and the dual checks, and nothing raises
+        fib = fibonacci()
+        table = [[list(row) for row in plane] for plane in fib.n]
+        table[1][1][1] = 1.5
+        ring = FusionRing(fib.labels, fib.dual, table)
+        assert validate_fusion_ring(ring).failures == (("nonnegative-integer", (1, 1, 1)),)
+        table[1][1][0] = 0.5
+        ring = FusionRing(fib.labels, fib.dual, table)
+        assert validate_fusion_ring(ring).failures == (
+            ("nonnegative-integer", (1, 1, 0)),
+            ("nonnegative-integer", (1, 1, 1)),
+            ("duality", (1, 1)),
+        )
+        with pytest.raises(ValueError, match="invalid fusion ring"):
+            grothendieck_frobenius(ring)
+
     def test_negative_entry_flagged(self):
         table = (
             ((1, 0), (0, 1)),
@@ -211,3 +229,16 @@ class TestJson:
     def test_malformed(self):
         with pytest.raises(ValueError):
             fusion_ring_from_json({"labels": ["1"]})
+
+    def test_rejects_non_integers(self):
+        for bad in (1.5, True, False, float("inf"), float("nan"), "x", None):
+            for obj in (
+                {"labels": ["1"], "dual": [0], "N": [[[bad]]]},
+                {"labels": ["1"], "dual": [bad], "N": [[[1]]]},
+            ):
+                with pytest.raises(ValueError, match="malformed fusion ring JSON"):
+                    fusion_ring_from_json(obj)
+
+    def test_accepts_integral_numbers(self):
+        obj = {"labels": ["1"], "dual": [0.0], "N": [[[1.0]]]}
+        assert fusion_ring_from_json(obj) == vec_z(1)

@@ -7,7 +7,10 @@ checks and matrix products, and the padded Kronecker products that
 ``bend_state`` and ``reconstruct_map`` used before they were written as
 reshaped products.  Gaussian elimination is the oracle for the
 duality-sandwich inverses.  Dense lists of ``Fraction`` rows are the
-oracle for the sparse matrix kernels and for the evaluator.
+oracle for the sparse matrix kernels and for the evaluator.  The index
+loops that ``validate_fusion_ring`` and ``grothendieck_frobenius`` ran
+before the ring laws were read off the circle relations are the oracle
+for the fusion-ring reports and commutativity witnesses.
 """
 
 import itertools
@@ -21,9 +24,10 @@ from hypothesis import strategies as st
 
 from conftest import eleven_algebras, enumerate_terms, random_term
 from test_exactlin import reference_inverse, reference_kron, reference_reduce
-from tqftkit import dualpairs, evaluate, frobenius
+from tqftkit import dualpairs, evaluate, frobenius, terms
 from tqftkit.algebras import (
     cyclic_group,
+    direct_product,
     group_algebra,
     milnor_ring,
     symmetric_group,
@@ -61,6 +65,15 @@ from tqftkit.frobenius import (
     from_economy,
     morphism_inverse,
     to_economy,
+)
+from tqftkit.fusion import (
+    FusionRing,
+    NotCommutativeRing,
+    fibonacci,
+    grothendieck_frobenius,
+    ising,
+    validate_fusion_ring,
+    vec_z,
 )
 from tqftkit.surfaces import bord2_signature, frobenius_interpretation
 from tqftkit.terms import Compose, Gen, Id, Swap, Tensor, typecheck
@@ -218,16 +231,35 @@ def test_axiom_report_matches_formulas_on_one_entry_perturbations(name, alg):
 def test_check_relations_evaluates_each_distinct_side_once(monkeypatch):
     interp = frobenius_interpretation(group_algebra(cyclic_group(2)))
     seen = []
-    real = evaluate.eval_term
+    real = evaluate._eval
 
     def counting(t, i):
         seen.append(t)
         return real(t, i)
 
-    monkeypatch.setattr(evaluate, "eval_term", counting)
+    monkeypatch.setattr(evaluate, "_eval", counting)
     report = check_relations(interp)
     assert report.ok and len(report.checks) == 11
     assert len(seen) == 16 and len(set(seen)) == 16
+
+
+def test_check_relations_never_typechecks(monkeypatch):
+    # the signature typechecked every side when it was built
+    interps = [
+        frobenius_interpretation(milnor_ring(4)),
+        dualpairs.dual_pair_interpretation(standard_pair(3)),
+    ]
+    calls = []
+
+    def counting(t, sig):
+        calls.append(t)
+        return typecheck(t, sig)
+
+    monkeypatch.setattr(evaluate, "typecheck", counting)
+    monkeypatch.setattr(terms, "typecheck", counting)
+    for interp in interps:
+        assert check_relations(interp).ok
+    assert calls == []
 
 
 # --- economy conversions and the grid --------------------------------------
@@ -383,10 +415,10 @@ def dense_reshape(a, rows, cols):
     return [flat[i * cols : (i + 1) * cols] for i in range(rows)]
 
 
-def dense_first_difference(a, b):
+def dense_differences(a, b):
     flat_a = [x for row in a for x in row]
     flat_b = [x for row in b for x in row]
-    return next((k for k, (x, y) in enumerate(zip(flat_a, flat_b)) if x != y), None)
+    return [k for k, (x, y) in enumerate(zip(flat_a, flat_b)) if x != y]
 
 
 def mixed_density(rng, rows, cols):
@@ -492,9 +524,11 @@ def test_first_difference_matches_dense():
             if rows and cols:
                 i, j = rng.randrange(rows), rng.randrange(cols)
                 b[i][j] = rng.choice((Fraction(0), Fraction(1, 7), b[i][j] * 2))
-        assert sparse(a, cols).first_difference(sparse(b, cols)) == dense_first_difference(a, b)
-        other = mixed_density(rng, rows, cols)
-        assert sparse(a, cols).first_difference(sparse(other, cols)) == dense_first_difference(a, other)
+        for other in (b, mixed_density(rng, rows, cols)):
+            want = dense_differences(a, other)
+            m, n = sparse(a, cols), sparse(other, cols)
+            assert list(m.differences(n)) == want
+            assert m.first_difference(n) == (want[0] if want else None)
 
 
 def test_rank_and_inverse_match_dense():
@@ -566,3 +600,180 @@ def test_eval_term_matches_dense_evaluator(name, rng, depth):
     src, tgt = typecheck(t, interp.sig)
     assume(interp.dim(src) * interp.dim(tgt) <= 6561)
     assert eval_term(t, interp).to_lists() == dense_eval(t, interp)
+
+
+# --- fusion-ring laws against the index loops ------------------------------
+
+
+def reference_validate_fusion_ring(ring):
+    """The failure tuple of the r^4 index loops, in their order."""
+    failures = []
+    r = ring.rank
+    n = ring.n
+    for i in range(r):
+        for j in range(r):
+            for k in range(r):
+                v = n[i][j][k]
+                if not isinstance(v, int) or v < 0:
+                    failures.append(("nonnegative-integer", (i, j, k)))
+    for j in range(r):
+        for k in range(r):
+            if n[0][j][k] != (1 if j == k else 0):
+                failures.append(("left-unit", (j, k)))
+        if any(n[j][0][k] != (1 if j == k else 0) for k in range(r)):
+            failures.append(("right-unit", (j,)))
+    for i in range(r):
+        for j in range(r):
+            for k in range(r):
+                for l in range(r):
+                    lhs = sum(n[i][j][m] * n[m][k][l] for m in range(r))
+                    rhs = sum(n[j][k][m] * n[i][m][l] for m in range(r))
+                    if lhs != rhs:
+                        failures.append(("associativity", (i, j, k, l)))
+    if ring.dual[0] != 0:
+        failures.append(("unit-self-dual", (0,)))
+    for i in range(r):
+        if not 0 <= ring.dual[i] < r:
+            failures.append(("dual-range", (i,)))
+            continue
+        if ring.dual[ring.dual[i]] != i:
+            failures.append(("dual-involution", (i,)))
+        for j in range(r):
+            expected = 1 if j == ring.dual[i] else 0
+            if n[i][j][0] != expected:
+                failures.append(("duality", (i, j)))
+    return tuple(failures)
+
+
+def reference_commutativity_witness(ring):
+    r = ring.rank
+    for i in range(r):
+        for j in range(r):
+            for k in range(r):
+                if ring.n[i][j][k] != ring.n[j][i][k]:
+                    return (i, j, k)
+    return None
+
+
+def reference_grothendieck_mu(ring):
+    r = ring.rank
+    mu_rows = [[0] * (r * r) for _ in range(r)]
+    for i in range(r):
+        for j in range(r):
+            for k in range(r):
+                mu_rows[k][i * r + j] = ring.n[i][j][k]
+    return Matrix.from_rows(mu_rows)
+
+
+def pointed_ring(group):
+    """The fusion ring of graded lines over a finite group."""
+    n = group.order
+    table = tuple(
+        tuple(tuple(int(k == group.mult[i][j]) for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+    return FusionRing(group.names, group.inverse, table)
+
+
+def with_constant(ring, i, j, k, value):
+    table = [[list(row) for row in plane] for plane in ring.n]
+    table[i][j][k] = value
+    return FusionRing(ring.labels, ring.dual, tuple(
+        tuple(tuple(row) for row in plane) for plane in table
+    ))
+
+
+def relabeled(ring, perm):
+    """The same ring with label i renamed perm[i], so that the unit label
+    no longer sits at index 0 when perm moves it."""
+    r = ring.rank
+    inv = [perm.index(i) for i in range(r)]
+    table = tuple(
+        tuple(tuple(ring.n[inv[i]][inv[j]][inv[k]] for k in range(r)) for j in range(r))
+        for i in range(r)
+    )
+    dual = tuple(perm[ring.dual[inv[i]]] for i in range(r))
+    return FusionRing(tuple(ring.labels[inv[i]] for i in range(r)), dual, table)
+
+
+def fusion_rings_under_test():
+    """The stock rings, the pointed S3 and S3 x Z2 rings, every one-entry
+    change by +1 or -1 of the fibonacci, ising and vec_z3 constants,
+    broken dual tuples, and relabelings that move the unit off index 0
+    (many unit failures across labels at once)."""
+    cases = [(f"vec_z{n}", vec_z(n)) for n in range(1, 7)]
+    cases += [("fibonacci", fibonacci()), ("ising", ising())]
+    cases += [("s3", pointed_ring(symmetric_group(3)))]
+    cases += [("s3xz2", pointed_ring(direct_product(symmetric_group(3), cyclic_group(2))))]
+    for name, ring in (("fibonacci", fibonacci()), ("ising", ising()), ("vec_z3", vec_z(3))):
+        for i, j, k in itertools.product(range(ring.rank), repeat=3):
+            for step in (1, -1):
+                value = ring.n[i][j][k] + step
+                cases.append((f"{name}[{i}][{j}][{k}]={value}", with_constant(ring, i, j, k, value)))
+    broken_duals = [
+        (vec_z(3), (0, 1, 2)),
+        (vec_z(3), (1, 2, 0)),
+        (vec_z(3), (0, 0, 0)),
+        (vec_z(3), (0, 5, 1)),
+        (vec_z(3), (0, -1, 1)),
+        (ising(), (0, 2, 1)),
+        (fibonacci(), (1, 0)),
+        (vec_z(4), (0, 3, 2, 2)),
+    ]
+    for ring, dual in broken_duals:
+        cases.append((f"{ring.labels}:dual={dual}", FusionRing(ring.labels, dual, ring.n)))
+    for ring, perm in (
+        (fibonacci(), (1, 0)),
+        (ising(), (1, 0, 2)),
+        (ising(), (2, 1, 0)),
+        (vec_z(3), (1, 2, 0)),
+        (vec_z(4), (0, 2, 1, 3)),
+    ):
+        cases.append((f"{ring.labels}:relabeled={perm}", relabeled(ring, perm)))
+    return cases
+
+
+FUSION_CASES = fusion_rings_under_test()
+
+
+def test_fusion_reports_match_the_index_loops():
+    for name, ring in FUSION_CASES:
+        assert validate_fusion_ring(ring).failures == reference_validate_fusion_ring(ring), name
+
+
+def test_grothendieck_matches_the_index_loops():
+    outcomes = set()
+    for name, ring in FUSION_CASES:
+        if reference_validate_fusion_ring(ring):
+            with pytest.raises(ValueError, match="invalid fusion ring"):
+                grothendieck_frobenius(ring)
+            outcomes.add("invalid")
+            continue
+        witness = reference_commutativity_witness(ring)
+        if witness is not None:
+            with pytest.raises(NotCommutativeRing) as err:
+                grothendieck_frobenius(ring)
+            assert err.value.witness == witness, name
+            outcomes.add("noncommutative")
+            continue
+        want = outcome(lambda: from_economy(
+            ring.rank,
+            reference_grothendieck_mu(ring),
+            Matrix.column([1] + [0] * (ring.rank - 1)),
+            BilinearPairing(ring.rank, Matrix.from_rows(
+                [[int(j == ring.dual[i]) for j in range(ring.rank)] for i in range(ring.rank)]
+            )),
+        ))
+        assert outcome(lambda: grothendieck_frobenius(ring)) == want, name
+        if isinstance(want[0], Matrix):
+            assert grothendieck_frobenius(ring).mu == reference_grothendieck_mu(ring), name
+            outcomes.add("built")
+    assert outcomes == {"invalid", "noncommutative", "built"}
+
+
+def test_the_ring_cases_reach_every_rule():
+    rules = {rule for _, ring in FUSION_CASES for rule, _ in reference_validate_fusion_ring(ring)}
+    assert rules == {
+        "nonnegative-integer", "left-unit", "right-unit", "associativity",
+        "unit-self-dual", "dual-range", "dual-involution", "duality",
+    }
