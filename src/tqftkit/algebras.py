@@ -23,9 +23,7 @@ from .frobenius import BilinearPairing, FrobeniusAlgebra, from_economy
 
 __all__ = [
     "FiniteGroupTable",
-    "OneVarPotential",
     "builtin_algebra",
-    "builtin_raw_algebra",
     "cyclic_group",
     "direct_product",
     "group_algebra",
@@ -160,26 +158,15 @@ def matrix_center_algebra(block_sizes: list[int]) -> FrobeniusAlgebra:
     return from_economy(k, mu, eta, BilinearPairing(k, gram), names)
 
 
-@dataclass(frozen=True)
-class OneVarPotential:
-    """The potential x^degree; its Milnor ring is k[x]/(x^(degree-1))."""
-
-    degree: int
-
-    def __post_init__(self):
-        if self.degree < 2:
-            raise ValueError("degree must be at least 2")
-
-
-def milnor_ring(potential: OneVarPotential | int) -> FrobeniusAlgebra:
-    """Milnor ring of x^d with the one-variable residue pairing.
+def milnor_ring(d: int) -> FrobeniusAlgebra:
+    """Milnor ring k[x]/(x^(d-1)) of the potential x^d with the
+    one-variable residue pairing.
 
     Basis 1, x, ..., x^(d-2); multiplication truncates at x^(d-1); the
     pairing of x^a and x^b is 1/d when a + b = d - 2 and zero otherwise.
     """
-    if isinstance(potential, int):
-        potential = OneVarPotential(potential)
-    d = potential.degree
+    if d < 2:
+        raise ValueError("degree must be at least 2")
     n = d - 1
     mu_rows = [[0] * (n * n) for _ in range(n)]
     for a in range(n):
@@ -245,10 +232,3 @@ def builtin_algebra(name: str) -> FrobeniusAlgebra:
         )
     raise KeyError(name)
 
-
-def builtin_raw_algebra(name: str) -> tuple[int, Matrix, Matrix]:
-    """Raw (dim, mu, eta) for built-ins, including ``triangular``."""
-    if name == "triangular":
-        return upper_triangular_algebra()
-    alg = builtin_algebra(name)
-    return alg.dim, alg.mu, alg.eta

@@ -18,7 +18,7 @@ from functools import cache
 
 from . import algebras, dualpairs, fusion, surfaces
 from .evaluate import Interpretation, check_relations, eval_term, bend_state, reconstruct_map
-from .exactlin import ShapeError, matrix_from_json, matrix_to_json, scalar_to_str
+from .exactlin import ShapeError, integer_from_json, matrix_from_json, matrix_to_json, scalar_to_str
 from .frobenius import (
     AxiomReport,
     FrobeniusAlgebra,
@@ -94,7 +94,7 @@ def _load_interpretation(sig_spec: str, algebra_spec: str) -> Interpretation:
     sig = _load_signature(sig_spec)
     obj = _load_json(algebra_spec)
     try:
-        dims = {k: int(v) for k, v in obj["dims"].items()}
+        dims = {k: integer_from_json(v) for k, v in obj["dims"].items()}
         mats = {k: matrix_from_json(v) for k, v in obj["matrices"].items()}
         return Interpretation(sig, dims, mats)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -298,10 +298,7 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (TermError, ShapeError, ValueError) as exc:
+    except (CliError, TermError, ShapeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,7 +16,9 @@ The Zorro moves are not written out here: the constructor checks them
 as the two snake relations of that signature, run through the evaluator
 by ``check_relations``.  Nor are the shapes of ``b`` and ``d``: they are
 the types of ``coev`` and ``ev``, checked when the constructor builds
-the interpretation.
+the interpretation.  Nor are the morphism equations: a morphism (f, g)
+is a pair of components on ``pp`` and ``pm`` natural at ``coev`` and
+``ev``, checked by ``naturality_failures`` on the two interpretations.
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .evaluate import Interpretation, check_relations, eval_term
+from .evaluate import Interpretation, check_relations, eval_term, naturality_failures
 from .exactlin import (
     Matrix,
     ShapeError,
-    kron,
+    integer_from_json,
     matmul,
     matrix_from_json,
     matrix_to_json,
@@ -124,15 +126,10 @@ def loop_value(pair: DualPair):
 
 
 def dp_morphism_check(p: DualPair, q: DualPair, f: Matrix, g: Matrix) -> bool:
-    """Whether (f, g) intertwines the pairings: d_p = d_q.(g(x)f) and
-    (f(x)g).b_p = b_q."""
-    if f.shape != (q.dim_u, p.dim_u):
-        raise ShapeError(f"f must be {q.dim_u}x{p.dim_u}, got {f.rows}x{f.cols}")
-    if g.shape != (q.dim_v, p.dim_v):
-        raise ShapeError(f"g must be {q.dim_v}x{p.dim_v}, got {g.rows}x{g.cols}")
-    pairing_ok = matmul(q.d, kron(g, f)) == p.d
-    copairing_ok = matmul(kron(f, g), p.b) == q.b
-    return pairing_ok and copairing_ok
+    """Whether (f, g) on (pp, pm) is natural at coev and ev, that is
+    (f(x)g).b_p = b_q and d_p = d_q.(g(x)f)."""
+    source, target = dual_pair_interpretation(p), dual_pair_interpretation(q)
+    return not naturality_failures(source, target, {"pp": f, "pm": g})
 
 
 def dp_morphism_inverse(p: DualPair, q: DualPair, f: Matrix, g: Matrix) -> tuple[Matrix, Matrix]:
@@ -182,10 +179,10 @@ def _vector_from_json(obj, rows: int, cols: int) -> Matrix:
 
 def dual_pair_from_json(obj: dict) -> DualPair:
     try:
-        dim_u = int(obj["dimU"])
-        dim_v = int(obj["dimV"])
+        dim_u = integer_from_json(obj["dimU"])
+        dim_v = integer_from_json(obj["dimV"])
         b = _vector_from_json(obj["b"], dim_u * dim_v, 1)
         d = _vector_from_json(obj["d"], 1, dim_v * dim_u)
-    except (KeyError, TypeError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed dual pair JSON: {exc}") from exc
     return DualPair(dim_u, dim_v, b, d)

@@ -13,6 +13,10 @@ sides, each distinct side evaluated once; ``check_relations`` reports the
 first entry where they differ.  The Frobenius axioms, the Zorro moves and
 the fusion-ring laws are all relations evaluated here.
 
+A morphism of interpretations is a monoidal natural transformation: one
+component per object label, natural at every generator.  The Frobenius
+and dual-pair morphism checks are both one call of ``naturality_failures``.
+
 The module also implements the closed-state calculus: ``bend_state``
 turns a map E -> F into a state () -> F . E* by precomposing with the
 designated coevaluation of E, and ``reconstruct_map`` contracts such a
@@ -28,6 +32,7 @@ snake identities exact without any permutations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterator, Mapping, Optional
 
 from .exactlin import Matrix, ShapeError, kron, matmul, swap_matrix
@@ -54,6 +59,7 @@ __all__ = [
     "bend_state",
     "check_relations",
     "eval_term",
+    "naturality_failures",
     "reconstruct_map",
     "relation_values",
 ]
@@ -187,13 +193,11 @@ class RelationReport:
 
 def relation_values(interp: Interpretation) -> Iterator[tuple[Relation, Matrix, Matrix]]:
     """Each relation with the values of its two sides, each distinct side
-    evaluated once and none typechecked (the signature typechecked them)."""
-    values: dict[Term, Matrix] = {}
-    for rel in interp.sig.g2:
-        for side in (rel.lhs, rel.rhs):
-            if side not in values:
-                values[side] = _eval(side, interp)
-        yield rel, values[rel.lhs], values[rel.rhs]
+    of the signature evaluated once and none typechecked or hashed (the
+    signature typechecked them and indexed them)."""
+    values = [_eval(side, interp) for side in interp.sig.sides]
+    for rel, (lhs, rhs) in zip(interp.sig.g2, interp.sig.side_pairs):
+        yield rel, values[lhs], values[rhs]
 
 
 def check_relations(interp: Interpretation) -> RelationReport:
@@ -207,6 +211,33 @@ def check_relations(interp: Interpretation) -> RelationReport:
             mismatch = (i, j, str(lhs.entry(i, j)), str(rhs.entry(i, j)))
         checks.append(RelationCheck(rel, mismatch is None, mismatch))
     return RelationReport(tuple(checks))
+
+
+def naturality_failures(
+    source: Interpretation, target: Interpretation, components: Mapping[str, Matrix]
+) -> list[str]:
+    """Generators ``g: w -> v`` of the signature the two interpretations
+    share, in its order, where ``psi_v . source(g) != target(g) . psi_w``.
+
+    ``psi`` of a word is the Kronecker product of its labels' components,
+    built once per word; the empty word adds no factor.  A mis-shaped
+    component raises ShapeError naming its label.
+    """
+    for label in source.sig.g0:
+        m, want = components[label], (target.obj_dim[label], source.obj_dim[label])
+        if m.shape != want:
+            raise ShapeError(f"component {label!r}: expected {want[0]}x{want[1]}, got {m.rows}x{m.cols}")
+    psi: dict[ObjectWord, Matrix] = {}
+    failures = []
+    for name, (src, tgt) in source.sig.g1.items():
+        for word in (src, tgt):
+            if word and word not in psi:
+                psi[word] = reduce(kron, [components[label] for label in word])
+        left = matmul(psi[tgt], source.gen_matrix[name]) if tgt else source.gen_matrix[name]
+        right = matmul(target.gen_matrix[name], psi[src]) if src else target.gen_matrix[name]
+        if left != right:
+            failures.append(name)
+    return failures
 
 
 def coev_term(word: ObjectWord, sig: Signature) -> Term:

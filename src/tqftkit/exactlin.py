@@ -58,6 +58,7 @@ __all__ = [
     "Matrix",
     "Scalar",
     "ShapeError",
+    "integer_from_json",
     "inverse",
     "kron",
     "matmul",
@@ -423,6 +424,13 @@ def inverse(a: Matrix) -> Matrix:
 
 def scalar_to_str(x: ScalarLike) -> str:
     return str(_as_fraction(x))
+
+
+def integer_from_json(x) -> int:
+    """``x`` as an int; booleans and non-integral numbers are malformed."""
+    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
+        raise ValueError(f"not an integer: {x!r}")
+    return int(x)
 
 
 def scalar_from_str(s: Union[str, int]) -> Fraction:

@@ -19,17 +19,22 @@ relation names.  The algebra axioms alone (associativity and a two-sided
 unit) are the same relations on the signature restricted to pants and
 cap.
 
-Morphisms are maps that are simultaneously algebra and coalgebra maps;
-they are automatically invertible, and ``morphism_inverse`` computes the
-inverse by the duality sandwich (copairing of the source, counit-product
-pairing of the target) rather than by Gaussian elimination.
+Nor are the morphism equations: a morphism is a map psi on the circle
+natural at the four generators (``naturality_failures``).  Morphisms are
+automatically invertible, and ``morphism_inverse`` computes the inverse
+by the duality sandwich (copairing of the source, counit-product pairing
+of the target) rather than by Gaussian elimination.
 
 ``admits_frobenius_form`` decides whether an associative unital algebra
 carries any nondegenerate invariant pairing.  Every invariant pairing is
 of the form (a, b) -> lam(a.b) for a linear functional lam, so the
-question reduces to whether the Gram determinant, a polynomial of degree
-at most dim in each of lam's dim coefficients, vanishes identically;
-evaluating it on the grid {0..dim}^dim decides that deterministically.
+question is whether the Gram determinant D(lam) vanishes identically.
+D is homogeneous of degree dim, so it does exactly when it vanishes on
+the hyperplane sum(lam) = dim.  There it is a polynomial of total degree
+at most dim in dim - 1 free coordinates, and such a polynomial that
+vanishes on the principal lattice {lam in N^dim : sum(lam) = dim} is
+zero; walking those C(2 dim - 1, dim) points decides the question
+deterministically.
 """
 
 from __future__ import annotations
@@ -39,10 +44,11 @@ from dataclasses import asdict, dataclass
 from functools import cache
 from typing import Optional, Sequence
 
-from .evaluate import Interpretation, RelationReport, check_relations
+from .evaluate import Interpretation, RelationReport, check_relations, naturality_failures
 from .exactlin import (
     Matrix,
     ShapeError,
+    integer_from_json,
     inverse,
     kron,
     matmul,
@@ -106,6 +112,7 @@ class NotAFrobeniusMorphism(ValueError):
         "coalgebra map ((psi (x) psi) . delta = delta' . psi)",
         "counit (eps = eps' . psi)",
     )
+    GENERATORS = ("pants", "cap", "copants", "cup")  # each equation is naturality at one
 
     def __init__(self, equation_index: int):
         self.equation_index = equation_index
@@ -317,20 +324,11 @@ def to_economy(alg: FrobeniusAlgebra) -> BilinearPairing:
 
 
 def check_morphism(source: FrobeniusAlgebra, target: FrobeniusAlgebra, psi: Matrix) -> Optional[int]:
-    """Index (1..4) of the first failing morphism equation, or None."""
-    if psi.shape != (target.dim, source.dim):
-        raise ShapeError(
-            f"morphism must be {target.dim}x{source.dim}, got {psi.rows}x{psi.cols}"
-        )
-    if matmul(target.mu, kron(psi, psi)) != matmul(psi, source.mu):
-        return 1
-    if target.eta != matmul(psi, source.eta):
-        return 2
-    if matmul(kron(psi, psi), source.delta) != matmul(target.delta, psi):
-        return 3
-    if source.eps != matmul(target.eps, psi):
-        return 4
-    return None
+    """Index (1..4) of the first failing morphism equation, or None: the
+    least equation among the generators where psi is not natural."""
+    interps = circle_interpretation(source), circle_interpretation(target)
+    failing = naturality_failures(*interps, {"S1": psi})
+    return min((NotAFrobeniusMorphism.GENERATORS.index(g) + 1 for g in failing), default=None)
 
 
 def morphism_inverse(source: FrobeniusAlgebra, target: FrobeniusAlgebra, psi: Matrix) -> Matrix:
@@ -355,13 +353,13 @@ def morphism_inverse(source: FrobeniusAlgebra, target: FrobeniusAlgebra, psi: Ma
 def admits_frobenius_form(dim: int, mu: Matrix, eta: Matrix) -> bool:
     """Whether any nondegenerate invariant pairing exists.
 
-    Deterministic polynomial identity test: the Gram determinant of the
-    pairing induced by a functional has per-variable degree at most dim,
-    so if it vanishes on the whole grid {0..dim}^dim it is identically
-    zero and no functional works.
+    Deterministic polynomial identity test (see the module docstring): one
+    functional lam per multiset of dim basis indices, lam[k] counting k,
+    so that sum(lam) = dim.
     """
     _check_algebra(dim, mu, eta)
-    for lam in itertools.product(range(dim + 1), repeat=dim):
+    for picks in itertools.combinations_with_replacement(range(dim), dim):
+        lam = [picks.count(k) for k in range(dim)]
         if rank(matmul(Matrix.row(lam), mu).reshape(dim, dim)) == dim:
             return True
     return False
@@ -388,7 +386,7 @@ def algebra_from_json(obj: dict) -> FrobeniusAlgebra:
     and is converted on load.
     """
     try:
-        dim = int(obj["dim"])
+        dim = integer_from_json(obj["dim"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed algebra JSON: {exc}") from exc
     try:

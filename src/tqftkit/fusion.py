@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .evaluate import Interpretation, relation_values
-from .exactlin import Matrix
+from .exactlin import Matrix, integer_from_json
 from .frobenius import BilinearPairing, FrobeniusAlgebra, _algebra_signature, from_economy
 
 __all__ = [
@@ -61,6 +61,8 @@ class FusionRing:
         r = len(self.labels)
         if r == 0:
             raise ValueError("need at least the unit label")
+        if not all(isinstance(label, str) for label in self.labels) or len(set(self.labels)) != r:
+            raise ValueError(f"labels must be distinct strings, got {list(self.labels)!r}")
         if len(self.dual) != r:
             raise ValueError("dual involution must cover every label")
         if len(self.n) != r or any(
@@ -229,19 +231,12 @@ def fusion_ring_to_json(ring: FusionRing) -> dict:
     }
 
 
-def _integer(x) -> int:
-    """``x`` as an int; booleans and non-integral numbers are malformed."""
-    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
-        raise ValueError(f"not an integer: {x!r}")
-    return int(x)
-
-
 def fusion_ring_from_json(obj: dict) -> FusionRing:
     try:
         labels = tuple(obj["labels"])
-        dual = tuple(_integer(x) for x in obj["dual"])
+        dual = tuple(integer_from_json(x) for x in obj["dual"])
         table = tuple(
-            tuple(tuple(_integer(x) for x in row) for row in plane) for plane in obj["N"]
+            tuple(tuple(integer_from_json(x) for x in row) for row in plane) for plane in obj["N"]
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed fusion ring JSON: {exc}") from exc

@@ -25,7 +25,6 @@ algebras.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .dualpairs import DualPair
@@ -35,7 +34,6 @@ from .frobenius import AxiomReport, FrobeniusAlgebra, bord2_signature, circle_in
 from .terms import Compose, Gen, Term, render_term
 
 __all__ = [
-    "ClosedSurface",
     "NotCommutative",
     "bord2_signature",
     "connected_sum_identity",
@@ -49,25 +47,6 @@ __all__ = [
 
 class NotCommutative(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class ClosedSurface:
-    """A connected closed orientable surface, identified by its genus."""
-
-    genus: int
-
-    def __post_init__(self):
-        if self.genus < 0:
-            raise ValueError("genus must be nonnegative")
-
-
-def _genus_of(surface: "ClosedSurface | int") -> int:
-    if isinstance(surface, ClosedSurface):
-        return surface.genus
-    if surface < 0:
-        raise ValueError("genus must be nonnegative")
-    return surface
 
 
 def frobenius_interpretation(alg: FrobeniusAlgebra) -> Interpretation:
@@ -90,9 +69,10 @@ def frobenius_interpretation(alg: FrobeniusAlgebra) -> Interpretation:
     return interp
 
 
-def genus_term(surface: ClosedSurface | int) -> Term:
+def genus_term(genus: int) -> Term:
     """Canonical closed surface term cap ; (copants ; pants)^g ; cup."""
-    genus = _genus_of(surface)
+    if genus < 0:
+        raise ValueError("genus must be nonnegative")
     t: Term = Gen("cap")
     for _ in range(genus):
         t = Compose(t, Compose(Gen("copants"), Gen("pants")))
@@ -103,9 +83,10 @@ def handle_operator(alg: FrobeniusAlgebra) -> Matrix:
     return matmul(alg.mu, alg.delta)
 
 
-def surface_invariant(alg: FrobeniusAlgebra, surface: ClosedSurface | int) -> Fraction:
+def surface_invariant(alg: FrobeniusAlgebra, genus: int) -> Fraction:
     """Exact value of the closed genus-g surface: eps . H^g . eta."""
-    genus = _genus_of(surface)
+    if genus < 0:
+        raise ValueError("genus must be nonnegative")
     state = alg.eta
     h = handle_operator(alg)
     for _ in range(genus):

@@ -161,7 +161,9 @@ class Signature:
     from object names and from the reserved words ``id`` and ``swap``),
     that every relation side type-checks with identical endpoints, and
     that any designated duality terms have the shapes ``() -> (x, x)``
-    and ``(x, x) -> ()``.
+    and ``(x, x) -> ()``.  ``sides`` lists the distinct relation sides
+    in first-seen order and ``side_pairs[k]`` the indices of relation
+    k's two sides in it, so an evaluator need never hash a term.
     """
 
     def __init__(
@@ -195,6 +197,8 @@ class Signature:
                 for label in w:
                     if label not in self.g0:
                         raise UnknownObject(label)
+        index: dict[Term, int] = {}
+        pairs = []
         for rel in self.g2:
             ls, lt = typecheck(rel.lhs, self)
             rs, rt = typecheck(rel.rhs, self)
@@ -204,6 +208,9 @@ class Signature:
                     f"({render_word(ls)})->({render_word(lt)}) vs "
                     f"({render_word(rs)})->({render_word(rt)})"
                 )
+            pairs.append((index.setdefault(rel.lhs, len(index)), index.setdefault(rel.rhs, len(index))))
+        self.sides: tuple[Term, ...] = tuple(index)
+        self.side_pairs: tuple[tuple[int, int], ...] = tuple(pairs)
         for label, data in self.duality.items():
             if label not in self.g0:
                 raise UnknownObject(label)

@@ -6,9 +6,7 @@ import pytest
 
 from tqftkit.algebras import (
     FiniteGroupTable,
-    OneVarPotential,
     builtin_algebra,
-    builtin_raw_algebra,
     cyclic_group,
     direct_product,
     group_algebra,
@@ -123,7 +121,7 @@ class TestMatrixCenter:
 
 class TestMilnor:
     def test_x3(self):
-        alg = milnor_ring(OneVarPotential(3))
+        alg = milnor_ring(3)
         assert alg.dim == 2
         assert to_economy(alg).gram == Matrix.from_rows(
             [[0, Fraction(1, 3)], [Fraction(1, 3), 0]]
@@ -137,7 +135,7 @@ class TestMilnor:
 
     def test_degree_below_two_rejected(self):
         with pytest.raises(ValueError):
-            OneVarPotential(1)
+            milnor_ring(1)
 
     def test_axioms_to_degree_six(self):
         for d in range(2, 7):
@@ -186,7 +184,7 @@ class TestBuiltins:
     def test_triangular_raw_only(self):
         with pytest.raises(ValueError):
             builtin_algebra("triangular")
-        dim, mu, eta = builtin_raw_algebra("triangular")
+        dim, mu, eta = upper_triangular_algebra()
         assert dim == 3
 
     def test_unknown_name(self):

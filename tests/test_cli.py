@@ -289,6 +289,38 @@ class TestErrorDiagnostics:
             code, out, err = capout(*argv, str(path))
             self.one_error_line(code, out, err, "infinite.json", message)
 
+    def test_algebra_json_with_fractional_dimension(self, capout, tmp_path):
+        # 2.9 used to load as dimension 2 and pass every axiom
+        path = tmp_path / "frac_dim.json"
+        path.write_text(json.dumps({
+            "dim": 2.9, "mu": [["1", "0", "0", "1"], ["0", "1", "1", "0"]],
+            "eta": ["1", "0"], "pairing": [["1", "0"], ["0", "1"]],
+        }))
+        code, out, err = capout("check", "--algebra", str(path))
+        self.one_error_line(code, out, err, "frac_dim.json", "malformed algebra JSON", "2.9")
+
+    def test_dual_pair_json_with_fractional_dimension(self, capout, tmp_path):
+        path = tmp_path / "frac_pair.json"
+        path.write_text('{"dimU": 2.5, "dimV": 2, "b": ["1", "0", "0", "1"], "d": ["1", "0", "0", "1"]}')
+        code, out, err = capout("eval", "--sig", "bord1", "--term", "coev ; swap[pp,pm] ; ev",
+                                "--algebra", str(path))
+        self.one_error_line(code, out, err, "frac_pair.json", "malformed dual pair JSON", "2.5")
+
+    def test_interpretation_json_with_fractional_dimension(self, capout, tmp_path):
+        sig = tmp_path / "sig.json"
+        sig.write_text('{"objects": ["a"], "generators": {}, "relations": []}')
+        path = tmp_path / "frac_dims.json"
+        path.write_text('{"dims": {"a": 2.5}, "matrices": {}}')
+        code, out, err = capout("eval", "--sig", str(sig), "--term", "id[a]", "--algebra", str(path))
+        self.one_error_line(code, out, err, "frac_dims.json", "bad interpretation", "2.5")
+
+    def test_fusion_json_with_repeated_labels(self, capout, tmp_path):
+        # vec_z2 with both labels named 1: the word 1,1 used to print 1
+        path = tmp_path / "twins.json"
+        path.write_text('{"labels": ["1", "1"], "dual": [0, 1], "N": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]}')
+        code, out, err = capout("fusion", str(path), "--word", "1,1")
+        self.one_error_line(code, out, err, "twins.json", "labels must be distinct strings")
+
     def test_fusion_json_with_fractional_constant(self, capout, tmp_path):
         path = tmp_path / "half.json"
         path.write_text('{"labels": ["1"], "dual": [0], "N": [[[1.5]]]}')

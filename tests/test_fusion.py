@@ -239,6 +239,14 @@ class TestJson:
                 with pytest.raises(ValueError, match="malformed fusion ring JSON"):
                     fusion_ring_from_json(obj)
 
+    def test_rejects_repeated_and_non_string_labels(self):
+        for labels in (("1", "1"), ("1", 2), (None,)):
+            ring = vec_z(len(labels))
+            with pytest.raises(ValueError, match="labels must be distinct strings"):
+                FusionRing(labels, ring.dual, ring.n)
+            with pytest.raises(ValueError, match="labels must be distinct strings"):
+                fusion_ring_from_json({**fusion_ring_to_json(ring), "labels": list(labels)})
+
     def test_accepts_integral_numbers(self):
         obj = {"labels": ["1"], "dual": [0.0], "N": [[[1.0]]]}
         assert fusion_ring_from_json(obj) == vec_z(1)

@@ -2,10 +2,13 @@
 
 The references are the explicit formulas and ``entry()`` loops that
 ``check_axioms``, ``from_economy``, ``to_economy`` and the
-``admits_frobenius_form`` grid used before they were written as relation
-checks and matrix products, and the padded Kronecker products that
-``bend_state`` and ``reconstruct_map`` used before they were written as
-reshaped products.  Gaussian elimination is the oracle for the
+``admits_frobenius_form`` search used before they were written as
+relation checks and matrix products (the search walked the full grid
+{0..dim}^dim before it walked the lattice sum(lam) = dim), the
+hand-written morphism equations that ``check_morphism`` and
+``dp_morphism_check`` used before both became naturality on the
+generators, and the padded Kronecker products that ``bend_state`` and
+``reconstruct_map`` used before they were written as reshaped products.  Gaussian elimination is the oracle for the
 duality-sandwich inverses.  Dense lists of ``Fraction`` rows are the
 oracle for the sparse matrix kernels and for the evaluator.  The index
 loops that ``validate_fusion_ring`` and ``grothendieck_frobenius`` ran
@@ -24,6 +27,7 @@ from hypothesis import strategies as st
 
 from conftest import eleven_algebras, enumerate_terms, random_term
 from test_exactlin import reference_inverse, reference_kron, reference_reduce
+from test_frobenius import invalid_morphisms, valid_morphisms
 from tqftkit import dualpairs, evaluate, frobenius, terms
 from tqftkit.algebras import (
     cyclic_group,
@@ -40,6 +44,7 @@ from tqftkit.evaluate import (
     check_relations,
     coev_term,
     eval_term,
+    naturality_failures,
     pairing_term,
     reconstruct_map,
 )
@@ -56,12 +61,14 @@ from tqftkit.exactlin import (
 from tqftkit.frobenius import (
     BilinearPairing,
     FrobeniusAlgebra,
+    NotAFrobeniusMorphism,
     NotAssociative,
     NotUnital,
     PairingDegenerate,
     PairingNotInvariant,
     admits_frobenius_form,
     check_axioms,
+    check_morphism,
     from_economy,
     morphism_inverse,
     to_economy,
@@ -76,7 +83,7 @@ from tqftkit.fusion import (
     vec_z,
 )
 from tqftkit.surfaces import bord2_signature, frobenius_interpretation
-from tqftkit.terms import Compose, Gen, Id, Swap, Tensor, typecheck
+from tqftkit.terms import Compose, Gen, Id, Signature, Swap, Tensor, typecheck
 
 
 # --- references ------------------------------------------------------------
@@ -179,6 +186,31 @@ def reference_reconstruct_map(state, source, target, interp):
     return matmul(contract, kron(state, Matrix.identity(interp.dim(source))))
 
 
+def reference_check_morphism(source, target, psi):
+    """Index (1..4) of the first failing hand-written morphism equation."""
+    if psi.shape != (target.dim, source.dim):
+        raise ShapeError(f"morphism must be {target.dim}x{source.dim}, got {psi.rows}x{psi.cols}")
+    if matmul(target.mu, kron(psi, psi)) != matmul(psi, source.mu):
+        return 1
+    if target.eta != matmul(psi, source.eta):
+        return 2
+    if matmul(kron(psi, psi), source.delta) != matmul(target.delta, psi):
+        return 3
+    if source.eps != matmul(target.eps, psi):
+        return 4
+    return None
+
+
+def reference_dp_morphism_check(p, q, f, g):
+    """Whether (f, g) intertwines the pairings: d_p = d_q.(g(x)f) and
+    (f(x)g).b_p = b_q."""
+    if f.shape != (q.dim_u, p.dim_u):
+        raise ShapeError(f"f must be {q.dim_u}x{p.dim_u}, got {f.rows}x{f.cols}")
+    if g.shape != (q.dim_v, p.dim_v):
+        raise ShapeError(f"g must be {q.dim_v}x{p.dim_v}, got {g.rows}x{g.cols}")
+    return matmul(q.d, kron(g, f)) == p.d and matmul(kron(f, g), p.b) == q.b
+
+
 def outcome(build):
     """The built algebra's delta and eps, or the rejection it raised."""
     try:
@@ -243,6 +275,29 @@ def test_check_relations_evaluates_each_distinct_side_once(monkeypatch):
     assert len(seen) == 16 and len(set(seen)) == 16
 
 
+def test_check_relations_hashes_no_term(monkeypatch):
+    # the signature indexed its distinct sides when it was built
+    interp = frobenius_interpretation(group_algebra(cyclic_group(2)))
+    evaluated, hashed = [], []
+    real = evaluate._eval
+
+    def counting(t, i):
+        evaluated.append(t)
+        return real(t, i)
+
+    monkeypatch.setattr(evaluate, "_eval", counting)
+    for cls in (Gen, Id, Swap, Compose, Tensor):
+        def logged(self, real_hash=cls.__hash__):
+            hashed.append(self)
+            return real_hash(self)
+
+        monkeypatch.setattr(cls, "__hash__", logged)
+    assert check_relations(interp).ok
+    assert hashed == [] and len(evaluated) == 16
+    monkeypatch.undo()
+    assert len(set(evaluated)) == 16
+
+
 def test_check_relations_never_typechecks(monkeypatch):
     # the signature typechecked every side when it was built
     interps = [
@@ -298,6 +353,190 @@ def test_grid_search_matches_loops():
     cases = [upper_triangular_algebra()] + [(a.dim, a.mu, a.eta) for _, a in eleven_algebras()]
     for dim, mu, eta in cases:
         assert admits_frobenius_form(dim, mu, eta) == reference_admits(dim, mu, eta)
+
+
+def direct_sum(first, second):
+    """Raw (dim, mu, eta) of the product of two raw algebras."""
+    (da, mua, etaa), (db, mub, etab) = first, second
+    n = da + db
+    rows = [[0] * (n * n) for _ in range(n)]
+    for off, d, mu in ((0, da, mua), (da, db, mub)):
+        for k, i, j in itertools.product(range(d), repeat=3):
+            rows[off + k][(off + i) * n + off + j] = mu.entry(k, i * d + j)
+    eta = [etaa.entry(i, 0) for i in range(da)] + [etab.entry(i, 0) for i in range(db)]
+    return n, Matrix.from_rows(rows), Matrix(n, 1, eta)
+
+
+def test_lattice_search_matches_grid_on_dimension_four_direct_sums(monkeypatch):
+    triangular = upper_triangular_algebra()
+    field = (1, Matrix.from_rows([[1]]), Matrix.from_rows([[1]]))
+    ranks = []
+
+    def counting(m):
+        ranks.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(frobenius, "rank", counting)
+    for dim, mu, eta in (direct_sum(triangular, field), direct_sum(field, triangular)):
+        assert dim == 4
+        ranks.clear()
+        assert admits_frobenius_form(dim, mu, eta) is reference_admits(dim, mu, eta) is False
+        # no form: every lattice point is visited, C(7, 4) of them instead of 5^4
+        assert len(ranks) == 35
+
+
+# --- morphisms and inverses ------------------------------------------------
+
+
+def signed_permutations(n):
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((1, -1), repeat=n):
+            yield Matrix(n, n, [signs[j] * (perm[j] == i) for i in range(n) for j in range(n)])
+
+
+def one_entry_changes(m):
+    flat = [x for row in m.to_lists() for x in row]
+    for k, step in itertools.product(range(len(flat)), (1, -1)):
+        changed = list(flat)
+        changed[k] += step
+        yield Matrix(m.rows, m.cols, changed)
+
+
+def test_check_morphism_matches_equations_on_valid_and_invalid_morphisms():
+    for name, src, tgt, psi in valid_morphisms():
+        assert check_morphism(src, tgt, psi) is reference_check_morphism(src, tgt, psi) is None, name
+    for name, src, tgt, psi, equation in invalid_morphisms():
+        assert check_morphism(src, tgt, psi) == reference_check_morphism(src, tgt, psi) == equation, name
+
+
+def test_check_morphism_matches_equations_on_one_entry_changes():
+    """Every +-1 one-entry change of the identity and of one nontrivial
+    automorphism of each zoo algebra, and the identity into every +1
+    one-entry change of the algebra's structure maps."""
+    seen, nontrivial = set(), 0
+    for name, alg in eleven_algebras():
+        eye = Matrix.identity(alg.dim)
+        autos = [m for m in signed_permutations(alg.dim)
+                 if m != eye and reference_check_morphism(alg, alg, m) is None]
+        nontrivial += bool(autos)
+        cases = [(alg, psi) for psi in [eye] + autos[:1]]
+        cases += [(alg, changed) for psi in [eye] + autos[:1] for changed in one_entry_changes(psi)]
+        cases += [(variant, eye) for _, variant in one_entry_variants(alg)]
+        for target, psi in cases:
+            want = reference_check_morphism(alg, target, psi)
+            assert check_morphism(alg, target, psi) == want, (name, psi)
+            if want is not None:
+                with pytest.raises(NotAFrobeniusMorphism) as err:
+                    morphism_inverse(alg, target, psi)
+                assert err.value.equation_index == want
+            seen.add(want)
+    # z2, z3, z2xz2, milnor:4, gr(ising) and gr(vec_z3) have signed-permutation automorphisms
+    assert nontrivial == 6
+    assert seen == {None, 1, 2, 3, 4}
+
+
+def dual_pair_cases():
+    """Six random (p, q, f, g) morphisms per pair of pairs, each also as
+    (f, f), with one entry of f changed, and with g replaced by a random
+    matrix."""
+    rng = random.Random(77)
+    m = Matrix.from_rows([[2, 1], [1, 1]])
+    pairs = [
+        (standard_pair(2), standard_pair(2)),
+        (standard_pair(3), standard_pair(3)),
+        (standard_pair(2), DualPair(2, 2, m.reshape(4, 1), inverse(m).reshape(1, 4))),
+    ]
+    cases = []
+    for p, q in pairs:
+        n = p.dim_u
+        b_q = q.b.reshape(n, n)
+        made = 0
+        while made < 6:
+            f = Matrix(n, n, [rng.randint(-3, 3) for _ in range(n * n)])
+            if rank(f) < n:
+                continue
+            made += 1
+            # with b_p = id, (f (x) g) b_p = b_q reads f . g^T = B_q
+            g = matmul(inverse(f), b_q).transpose()
+            noise = Matrix(n, n, [rng.randint(-2, 2) for _ in range(n * n)])
+            cases += [(p, q, f, g), (p, q, f, f), (p, q, next(one_entry_changes(f)), g), (p, q, f, noise)]
+    return cases
+
+
+def test_dp_morphism_check_matches_equations():
+    verdicts = []
+    for p, q, f, g in dual_pair_cases():
+        want = reference_dp_morphism_check(p, q, f, g)
+        assert dualpairs.dp_morphism_check(p, q, f, g) is want
+        if not want:
+            with pytest.raises(ValueError, match="not a morphism of dual pairs"):
+                dp_morphism_inverse(p, q, f, g)
+        verdicts.append(want)
+    assert verdicts.count(True) >= 18 and verdicts.count(False) >= 36
+
+
+def two_label_signature():
+    return Signature(
+        ["a", "b"],
+        {
+            "f": (("a",), ("b",)),
+            "m": (("a", "b"), ("b",)),
+            "u": ((), ("a", "a")),
+            "c": (("b",), ()),
+            "s": (("b", "a"), ("a", "b")),
+        },
+    )
+
+
+def test_naturality_on_a_generic_two_label_signature():
+    rng = random.Random(5)
+    sig = two_label_signature()
+    dims = {"a": 2, "b": 3}
+
+    def word_dim(word):
+        return 1 if not word else dims[word[0]] * word_dim(word[1:])
+
+    source = {}
+    for name, (src, tgt) in sig.g1.items():
+        r, c = word_dim(tgt), word_dim(src)
+        source[name] = Matrix(r, c, [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(r * c)])
+    source = Interpretation(sig, dims, source)
+    eye = {label: Matrix.identity(d) for label, d in dims.items()}
+    assert naturality_failures(source, source, eye) == []
+
+    # conjugating every generator by invertible components is natural by construction
+    psi = {"a": Matrix.from_rows([[1, 2], [0, 1]]), "b": Matrix.from_rows([[1, 0, 1], [0, 2, 0], [1, 0, 0]])}
+
+    def on(word):
+        out = Matrix.identity(1)
+        for label in word:
+            out = kron(out, psi[label])
+        return out
+
+    conjugated = {
+        name: matmul(on(tgt), matmul(source.gen_matrix[name], inverse(on(src))))
+        for name, (src, tgt) in sig.g1.items()
+    }
+    assert naturality_failures(source, Interpretation(sig, dims, conjugated), psi) == []
+    for name in sig.g1:
+        perturbed = dict(conjugated, **{name: next(one_entry_changes(conjugated[name]))})
+        assert naturality_failures(source, Interpretation(sig, dims, perturbed), psi) == [name]
+    # the identity components are natural only where conjugation changed nothing
+    failing = naturality_failures(source, Interpretation(sig, dims, conjugated), eye)
+    assert failing == [name for name in sig.g1 if conjugated[name] != source.gen_matrix[name]]
+
+
+def test_misshaped_component_names_its_label():
+    sig = two_label_signature()
+    dims = {"a": 1, "b": 1}
+    interp = Interpretation(sig, dims, {name: Matrix.identity(1) for name in sig.g1})
+    with pytest.raises(ShapeError, match="component 'b': expected 1x1, got 2x1"):
+        naturality_failures(interp, interp, {"a": Matrix.identity(1), "b": Matrix.zeros(2, 1)})
+    z2 = group_algebra(cyclic_group(2))
+    with pytest.raises(ShapeError, match="component 'S1'"):
+        check_morphism(z2, z2, Matrix.identity(3))
+    with pytest.raises(ShapeError, match="component 'pm'"):
+        dualpairs.dp_morphism_check(standard_pair(2), standard_pair(2), Matrix.identity(2), Matrix.identity(3))
 
 
 # --- inverses --------------------------------------------------------------
