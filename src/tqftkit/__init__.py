@@ -4,7 +4,7 @@ term languages, from dual pairs to fusion rings."""
 from .exactlin import BACKEND, Matrix, Scalar, kron, matmul, rank, swap_matrix
 from .terms import Signature, Term, parse_term, render_term, typecheck
 from .evaluate import Interpretation, bend_state, check_relations, eval_term, reconstruct_map
-from .dualpairs import DualPair, bord1_signature, dual_pair_interpretation
+from .dualpairs import DualPair, bord1_signature
 from .frobenius import (
     BilinearPairing,
     FrobeniusAlgebra,
@@ -42,7 +42,6 @@ __all__ = [
     "bord2_signature",
     "check_axioms",
     "check_relations",
-    "dual_pair_interpretation",
     "eval_term",
     "from_economy",
     "frobenius_interpretation",

@@ -25,7 +25,6 @@ from .frobenius import (
     admits_frobenius_form,
     algebra_from_json,
     check_axioms,
-    circle_interpretation,
 )
 from .terms import Signature, TermError, parse_term, signature_from_json, typecheck
 
@@ -87,8 +86,7 @@ def _load_interpretation(sig_spec: str, algebra_spec: str) -> Interpretation:
     if sig_spec == "bord1":
         obj = _load_json(algebra_spec)
         try:
-            pair = dualpairs.dual_pair_from_json(obj)
-            return dualpairs.dual_pair_interpretation(pair)
+            return dualpairs.dual_pair_from_json(obj).interpretation
         except (ValueError, ShapeError) as exc:
             raise _fail(algebra_spec, str(exc)) from exc
     sig = _load_signature(sig_spec)
@@ -163,7 +161,7 @@ def _cmd_invariant(args) -> int:
 def _cmd_relations(args) -> int:
     if args.sig == "bord2":
         # bypass the commutativity gate so that failures are reported, not raised
-        report = check_relations(circle_interpretation(_load_algebra(args.algebra)))
+        report = check_relations(_load_algebra(args.algebra).interpretation)
         if not AxiomReport.from_relations(report).is_frobenius:
             raise _fail(args.algebra, "not a Frobenius algebra; run 'check' for details")
     else:

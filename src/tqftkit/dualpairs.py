@@ -16,14 +16,15 @@ The Zorro moves are not written out here: the constructor checks them
 as the two snake relations of that signature, run through the evaluator
 by ``check_relations``.  Nor are the shapes of ``b`` and ``d``: they are
 the types of ``coev`` and ``ev``, checked when the constructor builds
-the interpretation.  Nor are the morphism equations: a morphism (f, g)
-is a pair of components on ``pp`` and ``pm`` natural at ``coev`` and
-``ev``, checked by ``naturality_failures`` on the two interpretations.
+the interpretation that the pair keeps for every later check.  Nor are
+the morphism equations: a morphism (f, g) is a pair of components on
+``pp`` and ``pm`` natural at ``coev`` and ``ev``, checked by
+``naturality_failures`` on the two interpretations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 from .evaluate import Interpretation, check_relations, eval_term, naturality_failures
@@ -44,7 +45,6 @@ __all__ = [
     "bord1_signature",
     "dp_morphism_check",
     "dp_morphism_inverse",
-    "dual_pair_interpretation",
     "dual_pair_from_json",
     "dual_pair_to_json",
     "loop_term",
@@ -66,15 +66,27 @@ class ZorroViolation(ValueError):
 
 @dataclass(frozen=True)
 class DualPair:
+    """A copairing b and a pairing d that satisfy the snake relations.
+
+    ``interpretation`` sends coev, ev of ``bord1_signature`` to b, d.  The
+    constructor checks shapes and snakes on it and keeps it, shared by
+    every later check (do not mutate it); it takes no part in equality,
+    hashing or ``repr``.
+    """
+
     dim_u: int
     dim_v: int
     b: Matrix  # (dim_u * dim_v) x 1
     d: Matrix  # 1 x (dim_v * dim_u)
+    interpretation: Interpretation = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.dim_u < 1 or self.dim_v < 1:
             raise ShapeError("dual pair dimensions must be positive")
-        failing = check_relations(dual_pair_interpretation(self)).failing()
+        dims = {"pp": self.dim_u, "pm": self.dim_v}
+        interp = Interpretation(bord1_signature(), dims, {"coev": self.b, "ev": self.d})
+        object.__setattr__(self, "interpretation", interp)
+        failing = check_relations(interp).failing()
         if failing:
             raise ZorroViolation(failing[0], "does not give the identity")
 
@@ -92,7 +104,6 @@ def bord1_signature() -> Signature:
         "coev": ((), ("pp", "pm")),
         "ev": (("pm", "pp"), ()),
     }
-    sig = Signature(g0, g1)
     snake_pp = Relation(
         "snake_pp",
         Compose(Tensor(Gen("coev"), Id(("pp",))), Tensor(Id(("pp",)), Gen("ev"))),
@@ -110,26 +121,15 @@ def loop_term():
     return parse_term("coev ; swap[pp,pm] ; ev", bord1_signature())
 
 
-def dual_pair_interpretation(pair: DualPair) -> Interpretation:
-    """Interpretation sending coev, ev to b, d; the constructor of
-    ``DualPair`` has already checked the snake relations."""
-    return Interpretation(
-        bord1_signature(),
-        {"pp": pair.dim_u, "pm": pair.dim_v},
-        {"coev": pair.b, "ev": pair.d},
-    )
-
-
 def loop_value(pair: DualPair):
     """Scalar assigned to the circle; equals the dimension of the pair."""
-    return eval_term(loop_term(), dual_pair_interpretation(pair)).entry(0, 0)
+    return eval_term(loop_term(), pair.interpretation).entry(0, 0)
 
 
 def dp_morphism_check(p: DualPair, q: DualPair, f: Matrix, g: Matrix) -> bool:
     """Whether (f, g) on (pp, pm) is natural at coev and ev, that is
     (f(x)g).b_p = b_q and d_p = d_q.(g(x)f)."""
-    source, target = dual_pair_interpretation(p), dual_pair_interpretation(q)
-    return not naturality_failures(source, target, {"pp": f, "pm": g})
+    return not naturality_failures(p.interpretation, q.interpretation, {"pp": f, "pm": g})
 
 
 def dp_morphism_inverse(p: DualPair, q: DualPair, f: Matrix, g: Matrix) -> tuple[Matrix, Matrix]:

@@ -21,12 +21,13 @@ The module also implements the closed-state calculus: ``bend_state``
 turns a map E -> F into a state () -> F . E* by precomposing with the
 designated coevaluation of E, and ``reconstruct_map`` contracts such a
 state back into a map using the designated pairing.  Both contract by
-reshaped products (the map times the coevaluation read as a square
-matrix, the state read as a matrix times the pairing read as one), never
-by Kronecker products with identities.  Designated duality terms live in
-the signature, one pair per (self-dual) object label; for compound words
-they are assembled by nesting, innermost factors last, which keeps the
-snake identities exact without any permutations.
+reshaped products, never by Kronecker products with identities.
+Designated duality terms live in the signature, one pair per (self-dual)
+object label, and an interpretation evaluates them once, when it is
+built (``Interpretation.duality``).  A word's copairing C and pairing P
+nest the labels' ones, the first outermost: for E = (x, rest),
+C_E = (C_x (x) C_rest) . swap(rest, x) and P_E = swap(x, rest) .
+(P_x (x) P_rest), assembled per call with no term built or kept.
 """
 
 from __future__ import annotations
@@ -72,7 +73,9 @@ class MissingDuality(ValueError):
 
 
 class Interpretation:
-    """A symmetric monoidal functor restricted to generators."""
+    """A symmetric monoidal functor restricted to generators.  ``duality``
+    maps each label with a designated duality to the values of its two
+    terms (copairing, pairing), each read as a dim x dim matrix."""
 
     def __init__(
         self,
@@ -97,6 +100,10 @@ class Interpretation:
                     f"generator {name!r}: expected {want[0]}x{want[1]} "
                     f"for ({render_word(src)})->({render_word(tgt)}), got {m.rows}x{m.cols}"
                 )
+        self.duality: dict[str, tuple[Matrix, Matrix]] = {}
+        for label, data in sig.duality.items():
+            d = self.obj_dim[label]
+            self.duality[label] = tuple(_eval(t, self).reshape(d, d) for t in (data.coev, data.pairing))
 
     def dim(self, word: ObjectWord) -> int:
         d = 1
@@ -240,51 +247,36 @@ def naturality_failures(
     return failures
 
 
-def coev_term(word: ObjectWord, sig: Signature) -> Term:
-    """Coevaluation () -> word . reverse(word), nested from the outside in."""
-    if not word:
-        return Id(())
-    head, rest = word[0], word[1:]
-    if head not in sig.duality:
-        raise MissingDuality(head)
-    base = sig.duality[head].coev
-    if not rest:
-        return base
-    inner = coev_term(rest, sig)
-    return Compose(base, Tensor(Id((head,)), Tensor(inner, Id((head,)))))
-
-
-def pairing_term(word: ObjectWord, sig: Signature) -> Term:
-    """Pairing reverse(word) . word -> (), the mate of ``coev_term``."""
-    if not word:
-        return Id(())
-    head, rest = word[0], word[1:]
-    if head not in sig.duality:
-        raise MissingDuality(head)
-    base = sig.duality[head].pairing
-    if not rest:
-        return base
-    inner = pairing_term(rest, sig)
-    rest_rev = tuple(reversed(rest))
-    return Compose(Tensor(Id(rest_rev), Tensor(base, Id(rest))), inner)
+def _word_duality(word: ObjectWord, interp: Interpretation, pairing: bool) -> Matrix:
+    """C_word, or P_word with ``pairing``, read as a dim x dim matrix;
+    MissingDuality names the word's first label without a duality."""
+    for label in word:
+        if label not in interp.duality:
+            raise MissingDuality(label)
+    value = interp.duality[word[-1]][pairing] if word else Matrix.identity(1)
+    for label in reversed(word[:-1]):
+        m = interp.duality[label][pairing]
+        if pairing:
+            value = matmul(swap_matrix(m.rows, value.rows), kron(m, value))
+        else:
+            value = matmul(kron(m, value), swap_matrix(value.rows, m.rows))
+    return value
 
 
 def bend_state(t: Term, interp: Interpretation) -> Matrix:
     """State () -> target . reverse(source) obtained by bending the source.
 
     For ``t: E -> F`` this is ``coev_E ; (t * id)``, a column of length
-    dim(F) * dim(E), computed as the reshaped product
-    ``eval(t) . coev_E`` with coev_E read as a dim(E) x dim(E) matrix.  A
-    term with empty source is already a state and is returned as its own
-    evaluation.
+    dim(F) * dim(E), computed as the reshaped product ``eval(t) . C_E``;
+    only ``t`` is evaluated.  A term with empty source is already a state
+    and is returned as its own evaluation.
     """
     src, _ = typecheck(t, interp.sig)
     if not src:
         return _eval(t, interp)
-    coev = eval_term(coev_term(src, interp.sig), interp)
+    copairing = _word_duality(src, interp, False)
     m = _eval(t, interp)
-    d_src = m.cols
-    return matmul(m, coev.reshape(d_src, d_src)).reshape(m.rows * d_src, 1)
+    return matmul(m, copairing).reshape(m.rows * m.cols, 1)
 
 
 def reconstruct_map(
@@ -297,10 +289,10 @@ def reconstruct_map(
 
     The dangling reverse(source) . source legs are contracted away with
     the designated pairing, as the reshaped product of the state read as
-    a dim(target) x dim(source) matrix and the pairing read as a
-    dim(source) x dim(source) one; composing with ``bend_state`` is the
-    identity on well-typed terms whenever the designated duality terms
-    satisfy the snake identities.
+    a dim(target) x dim(source) matrix and P_source, with no term
+    evaluated; composing with ``bend_state`` is the identity on
+    well-typed terms whenever the designated duality terms satisfy the
+    snake identities.
     """
     d_src = interp.dim(source)
     d_tgt = interp.dim(target)
@@ -311,5 +303,4 @@ def reconstruct_map(
         )
     if not source:
         return state
-    pairing = eval_term(pairing_term(source, interp.sig), interp)
-    return matmul(state.reshape(d_tgt, d_src), pairing.reshape(d_src, d_src))
+    return matmul(state.reshape(d_tgt, d_src), _word_duality(source, interp, True))

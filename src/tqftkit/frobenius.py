@@ -6,8 +6,8 @@ and a nondegenerate invariant bilinear pairing.  The structure maps are
 the values of the generators pants, cap, copants and cup of the circle
 signature ``bord2_signature``, so their shapes are the ones those
 generators' types give; they are checked once, by building the
-interpretation of that signature.  ``from_economy`` and
-``to_economy`` convert between the two: the counit is pairing against
+interpretation of that signature, which the algebra keeps for every
+later check.  ``from_economy`` and ``to_economy`` convert between the two: the counit is pairing against
 the unit, the coproduct tensors against the copairing (the inverse Gram
 matrix), and in the other direction the pairing is the counit of a
 product.  The round trip is exact.
@@ -40,7 +40,7 @@ deterministically.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import cache
 from typing import Optional, Sequence
 
@@ -75,7 +75,6 @@ __all__ = [
     "bord2_signature",
     "check_axioms",
     "check_morphism",
-    "circle_interpretation",
     "from_economy",
     "morphism_inverse",
     "to_economy",
@@ -191,9 +190,11 @@ class FrobeniusAlgebra:
     mu, eta, delta and eps interpret pants, cap, copants and cup of the
     circle signature, whose generator types fix their shapes (mu is
     dim x dim^2, eta dim x 1, delta dim^2 x dim, eps 1 x dim).  The
-    constructor checks them by building ``circle_interpretation``, which
-    raises ShapeError naming the generator.  Only shapes are enforced
-    here; the axioms are a separate, reportable check.
+    constructor checks them by building ``interpretation``, which raises
+    ShapeError naming the generator, and keeps it, shared by every later
+    check (do not mutate it); it takes no part in equality, hashing or
+    ``repr``.  Only shapes are enforced here; the axioms are a separate,
+    reportable check.
     """
 
     dim: int
@@ -202,11 +203,14 @@ class FrobeniusAlgebra:
     delta: Matrix
     eps: Matrix
     basis_names: Optional[tuple[str, ...]] = None
+    interpretation: Interpretation = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.dim < 1:
             raise ShapeError("dimension must be positive")
-        circle_interpretation(self)
+        maps = {"pants": self.mu, "copants": self.delta, "cap": self.eta, "cup": self.eps}
+        interp = Interpretation(bord2_signature(), {"S1": self.dim}, maps)
+        object.__setattr__(self, "interpretation", interp)
         if self.basis_names is not None and len(self.basis_names) != self.dim:
             raise ShapeError("basis_names length must equal dim")
 
@@ -252,18 +256,8 @@ class AxiomReport:
         return "\n".join(f"{k}: {'ok' if v else 'FAIL'}" for k, v in self.to_json().items())
 
 
-def circle_interpretation(alg: FrobeniusAlgebra) -> Interpretation:
-    """Interpretation sending pants, copants, cap, cup to mu, delta, eta,
-    eps, with no axiom checked."""
-    return Interpretation(
-        bord2_signature(),
-        {"S1": alg.dim},
-        {"pants": alg.mu, "copants": alg.delta, "cap": alg.eta, "cup": alg.eps},
-    )
-
-
 def check_axioms(alg: FrobeniusAlgebra) -> AxiomReport:
-    return AxiomReport.from_relations(check_relations(circle_interpretation(alg)))
+    return AxiomReport.from_relations(check_relations(alg.interpretation))
 
 
 def _check_algebra(dim: int, mu: Matrix, eta: Matrix) -> None:
@@ -326,8 +320,7 @@ def to_economy(alg: FrobeniusAlgebra) -> BilinearPairing:
 def check_morphism(source: FrobeniusAlgebra, target: FrobeniusAlgebra, psi: Matrix) -> Optional[int]:
     """Index (1..4) of the first failing morphism equation, or None: the
     least equation among the generators where psi is not natural."""
-    interps = circle_interpretation(source), circle_interpretation(target)
-    failing = naturality_failures(*interps, {"S1": psi})
+    failing = naturality_failures(source.interpretation, target.interpretation, {"S1": psi})
     return min((NotAFrobeniusMorphism.GENERATORS.index(g) + 1 for g in failing), default=None)
 
 

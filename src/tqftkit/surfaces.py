@@ -17,10 +17,10 @@ counit of the g-th power of the handle operator mu . delta applied to
 the unit, and at genus one it equals the algebra's dimension.
 
 Reduction along the circle turns the algebra into a dual pair whose
-copairing and pairing are the signature's designated duality for
-``S1``, evaluated under ``frobenius_interpretation``; the relation check
-behind that interpretation is the one gate on commutative Frobenius
-algebras.
+copairing and pairing are the values of the signature's designated
+duality for ``S1``, which the algebra's interpretation evaluated when it
+was built; the relation check in ``frobenius_interpretation`` is the one
+gate on commutative Frobenius algebras.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from fractions import Fraction
 from .dualpairs import DualPair
 from .evaluate import Interpretation, check_relations, eval_term
 from .exactlin import Matrix, matmul
-from .frobenius import AxiomReport, FrobeniusAlgebra, bord2_signature, circle_interpretation
+from .frobenius import AxiomReport, FrobeniusAlgebra, bord2_signature
 from .terms import Compose, Gen, Term, render_term
 
 __all__ = [
@@ -50,14 +50,15 @@ class NotCommutative(ValueError):
 
 
 def frobenius_interpretation(alg: FrobeniusAlgebra) -> Interpretation:
-    """Interpretation sending pants, copants, cap, cup to mu, delta, eta, eps.
+    """The interpretation the algebra keeps (pants, copants, cap, cup to
+    mu, delta, eta, eps), once it passes the gate.
 
     Requires all axioms including commutativity; a commutative Frobenius
     algebra passes every relation of the signature, a noncommutative one
     fails exactly the two R4 pairs.  The relations are checked once and
     the gate reads the axioms off that report.
     """
-    interp = circle_interpretation(alg)
+    interp = alg.interpretation
     report = AxiomReport.from_relations(check_relations(interp))
     if not report.is_frobenius:
         bad = [k for k, v in report.to_json().items() if not v and k != "commutative"]
@@ -137,14 +138,13 @@ def reduce_along_circle(alg: FrobeniusAlgebra) -> DualPair:
     """Dimensional reduction to a dual pair.
 
     The copairing and pairing are the values of the circle's designated
-    duality terms ``cap ; copants`` and ``pants ; cup`` under
-    ``frobenius_interpretation``, which raises unless the algebra is a
-    commutative Frobenius algebra.  The snake identities then hold, so
-    the dual-pair constructor accepts the result, and its loop value
-    reproduces the torus invariant.
+    duality terms ``cap ; copants`` and ``pants ; cup``, read off the
+    ``duality["S1"]`` of ``frobenius_interpretation`` (which raises unless
+    the algebra is a commutative Frobenius algebra) as a d^2 x 1 column
+    and a 1 x d^2 row.  The snake identities then hold, so the dual-pair
+    constructor accepts the result, and its loop value reproduces the
+    torus invariant.
     """
-    interp = frobenius_interpretation(alg)
-    duality = interp.sig.duality["S1"]
-    b = eval_term(duality.coev, interp)
-    d = eval_term(duality.pairing, interp)
-    return DualPair(alg.dim, alg.dim, b, d)
+    copairing, pairing = frobenius_interpretation(alg).duality["S1"]
+    n = alg.dim * alg.dim
+    return DualPair(alg.dim, alg.dim, copairing.reshape(n, 1), pairing.reshape(1, n))

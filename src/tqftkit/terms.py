@@ -24,6 +24,7 @@ single-label swaps look like ``swap[S1,S1]``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Mapping, Sequence, Union
 
 ObjectWord = tuple[str, ...]
@@ -360,33 +361,33 @@ class _Parser:
         return self.next()
 
     def parse(self) -> Term:
-        t = self.term()
-        tok = self.peek()
+        # precedence climbing on explicit stacks, not recursion: per open
+        # parenthesis, the ';' operands and the '*' operands of the last
+        levels: list[tuple[list, list]] = [([], [])]
+        while True:
+            while self.peek()[0] == "(":
+                self.next()
+                levels.append(([], []))
+            levels[-1][1].append(self.atom())
+            tok = self.next()
+            while tok[0] == ")" and len(levels) > 1:
+                inner = _fold(*levels.pop())
+                levels[-1][1].append(inner)
+                tok = self.next()
+            if tok[0] == ";":
+                composed, tensored = levels[-1]
+                composed.append(reduce(Tensor, tensored))
+                tensored.clear()
+            elif tok[0] != "*":
+                break
+        if len(levels) > 1:
+            raise ParseError(tok[2], [")"], _describe(tok))
         if tok[0] != "END":
             raise ParseError(tok[2], ["';'", "'*'", "end of input"], _describe(tok))
-        return t
-
-    def term(self) -> Term:
-        t = self.factor()
-        while self.peek()[0] == ";":
-            self.next()
-            t = Compose(t, self.factor())
-        return t
-
-    def factor(self) -> Term:
-        t = self.atom()
-        while self.peek()[0] == "*":
-            self.next()
-            t = Tensor(t, self.atom())
-        return t
+        return _fold(*levels[0])
 
     def atom(self) -> Term:
         tok = self.peek()
-        if tok[0] == "(":
-            self.next()
-            t = self.term()
-            self.expect(")")
-            return t
         if tok[0] == "NAME":
             self.next()
             if tok[1] == "id":
@@ -426,6 +427,10 @@ class _Parser:
             self.expect(")")
             return word
         return (self.expect("NAME")[1],)
+
+
+def _fold(composed: list, tensored: list) -> Term:
+    return reduce(Compose, composed + [reduce(Tensor, tensored)])
 
 
 def _describe(tok) -> str:
@@ -512,19 +517,17 @@ def signature_from_json(obj: dict) -> Signature:
             name: (tuple(spec["src"]), tuple(spec["tgt"]))
             for name, spec in obj["generators"].items()
         }
-    except (KeyError, TypeError) as exc:
+        sig = Signature(g0, g1)
+        relations = [
+            Relation(
+                rel.get("name", f"relation{k}"), parse_term(rel["lhs"], sig), parse_term(rel["rhs"], sig)
+            )
+            for k, rel in enumerate(obj.get("relations", []))
+        ]
+        duality = {
+            label: DualityData(parse_term(spec["coev"], sig), parse_term(spec["pairing"], sig))
+            for label, spec in obj.get("duality", {}).items()
+        }
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed signature JSON: {exc}") from exc
-    sig = Signature(g0, g1)
-    relations = []
-    for k, rel in enumerate(obj.get("relations", [])):
-        name = rel.get("name", f"relation{k}")
-        relations.append(
-            Relation(name, parse_term(rel["lhs"], sig), parse_term(rel["rhs"], sig))
-        )
-    duality = {}
-    for label, spec in obj.get("duality", {}).items():
-        duality[label] = DualityData(
-            coev=parse_term(spec["coev"], sig),
-            pairing=parse_term(spec["pairing"], sig),
-        )
     return Signature(g0, g1, relations, duality)

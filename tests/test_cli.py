@@ -69,6 +69,16 @@ class TestHappyPaths:
         assert (code, err) == (0, "")
         assert json.loads(out) == [[str(2 ** 1500)]]
 
+    def test_deeply_parenthesized_term_file(self, capout, tmp_path):
+        path = tmp_path / "deep.term"
+        path.write_text("(" * 3000 + "cap" + ")" * 3000)
+        code, out, err = capout("eval", "--algebra", "z2", "--term", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out) == [["1"], ["0"]]
+        code, out, err = capout("recon", "--algebra", "z2", "--term", str(path))
+        assert (code, err) == (0, "")
+        assert out.endswith("agree: true\n")
+
     def test_eval_term_file(self, capout):
         code, out, _ = capout("eval", "--algebra", "z2", "--term", fx("genus_one.term"))
         assert code == 0
@@ -326,6 +336,31 @@ class TestErrorDiagnostics:
         path.write_text('{"labels": ["1"], "dual": [0], "N": [[[1.5]]]}')
         code, out, err = capout("fusion", str(path), "--word", "1")
         self.one_error_line(code, out, err, "half.json", "malformed fusion ring JSON", "1.5")
+
+    def malformed_signature(self, capout, tmp_path, **entries):
+        sig = tmp_path / "bad_sig.json"
+        sig.write_text(json.dumps({
+            "objects": ["a"], "generators": {"f": {"src": ["a"], "tgt": ["a"]}}, **entries,
+        }))
+        interp = tmp_path / "interp.json"
+        interp.write_text('{"dims": {"a": 1}, "matrices": {"f": [["1"]]}}')
+        code, out, err = capout("eval", "--sig", str(sig), "--algebra", str(interp), "--term", "f")
+        self.one_error_line(code, out, err, "bad_sig.json", "malformed signature JSON")
+
+    def test_signature_relation_with_integer_side(self, capout, tmp_path):
+        self.malformed_signature(capout, tmp_path, relations=[{"lhs": 5, "rhs": "f"}])
+
+    def test_signature_relation_without_rhs(self, capout, tmp_path):
+        self.malformed_signature(capout, tmp_path, relations=[{"lhs": "f"}])
+
+    def test_signature_relation_that_is_not_an_object(self, capout, tmp_path):
+        self.malformed_signature(capout, tmp_path, relations=[5])
+
+    def test_signature_duality_without_pairing(self, capout, tmp_path):
+        self.malformed_signature(capout, tmp_path, duality={"a": {"coev": "f"}})
+
+    def test_signature_duality_that_is_a_list(self, capout, tmp_path):
+        self.malformed_signature(capout, tmp_path, duality=[1])
 
     def test_usage_error(self, capout):
         code, _, err = capout("invariant", "--algebra", "z2")

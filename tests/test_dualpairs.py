@@ -12,7 +12,6 @@ from tqftkit.dualpairs import (
     dp_morphism_check,
     dp_morphism_inverse,
     dual_pair_from_json,
-    dual_pair_interpretation,
     dual_pair_to_json,
     loop_term,
     loop_value,
@@ -71,6 +70,13 @@ class TestDualPair:
         with pytest.raises(ShapeError, match="generator 'ev': expected 1x4"):
             DualPair(2, 2, good.b, good.b)
 
+    def test_equal_pairs_compare_and_hash_equal(self):
+        first, second = standard_pair(2), standard_pair(2)
+        assert first.interpretation is not second.interpretation
+        assert first == second and hash(first) == hash(second)
+        assert repr(first) == repr(second) and "interpretation" not in repr(first)
+        assert first != standard_pair(3)
+
     def test_rectangular_impossible(self):
         # a 1x2 "pair": shapes fit but no snake can hold
         b = Matrix(2, 1, [1, 0])
@@ -91,12 +97,12 @@ class TestDualPair:
 
     def test_interpretation_passes_relations(self):
         for n in (1, 2, 3):
-            interp = dual_pair_interpretation(standard_pair(n))
+            interp = standard_pair(n).interpretation
             assert check_relations(interp).ok
 
     def test_loop_eval_matches_loop_value(self):
         p = standard_pair(3)
-        interp = dual_pair_interpretation(p)
+        interp = p.interpretation
         assert eval_term(loop_term(), interp) == Matrix.scalar(3)
 
     def test_relations_fail_iff_pair_invalid(self):

@@ -6,6 +6,8 @@ import pytest
 
 from conftest import parser_signature, random_term
 from tqftkit.algebras import cyclic_group, group_algebra, milnor_ring, trivial_algebra
+from tqftkit import evaluate
+from tqftkit.dualpairs import dp_morphism_check, dp_morphism_inverse, loop_value, standard_pair
 from tqftkit.evaluate import (
     Interpretation,
     MissingDuality,
@@ -15,7 +17,8 @@ from tqftkit.evaluate import (
     reconstruct_map,
 )
 from tqftkit.exactlin import Matrix, ShapeError, kron, matmul
-from tqftkit.surfaces import bord2_signature, frobenius_interpretation, genus_term
+from tqftkit.frobenius import check_axioms, check_morphism, morphism_inverse
+from tqftkit.surfaces import bord2_signature, frobenius_interpretation, genus_term, reduce_along_circle
 from tqftkit.terms import Compose, Gen, Id, Swap, Tensor, parse_term, typecheck
 
 
@@ -208,3 +211,64 @@ class TestBending:
                     continue
                 state = bend_state(t, interp)
                 assert reconstruct_map(state, src, tgt, interp) == eval_term(t, interp)
+
+
+class TestBuiltOnce:
+    """Structures keep the interpretation their constructor built, and
+    bending assembles a word's duality from the per-label matrices."""
+
+    def test_structure_checks_build_no_interpretation(self, monkeypatch):
+        z2 = group_algebra(cyclic_group(2))
+        pair = standard_pair(2)
+        eye = Matrix.identity(2)
+        built = []
+        real = Interpretation.__init__
+
+        def counting(self, *args):
+            built.append(args[0])
+            real(self, *args)
+
+        monkeypatch.setattr(Interpretation, "__init__", counting)
+        calls = [
+            (check_axioms, (z2,), 0),
+            (frobenius_interpretation, (z2,), 0),
+            (check_morphism, (z2, z2, eye), 0),
+            (morphism_inverse, (z2, z2, eye), 0),
+            (dp_morphism_check, (pair, pair, eye, eye), 0),
+            (dp_morphism_inverse, (pair, pair, eye, eye), 0),
+            (loop_value, (pair,), 0),
+            # the dual pair's own constructor builds its interpretation
+            (reduce_along_circle, (z2,), 1),
+        ]
+        for function, args, expected in calls:
+            built.clear()
+            function(*args)
+            assert len(built) == expected, function.__name__
+        assert frobenius_interpretation(z2) is z2.interpretation
+
+    def test_bending_evaluates_only_the_term_and_builds_none(self, monkeypatch, z2_interp):
+        t = Compose(Tensor(Gen("pants"), Id(("S1",))), Gen("pants"))
+        src, tgt = typecheck(t, z2_interp.sig)
+        evaluated, built = [], []
+        real_eval = evaluate._eval
+        monkeypatch.setattr(evaluate, "_eval", lambda t, i: evaluated.append(t) or real_eval(t, i))
+        for cls in (Gen, Id, Swap, Compose, Tensor):
+            def logged(self, *args, real_init=cls.__init__):
+                built.append(self)
+                real_init(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", logged)
+        state = bend_state(t, z2_interp)
+        assert evaluated == [t] and built == []
+        evaluated.clear()
+        rebuilt = reconstruct_map(state, src, tgt, z2_interp)
+        assert evaluated == [] and built == []
+        monkeypatch.undo()
+        assert rebuilt == eval_term(t, z2_interp)
+
+    def test_wide_words_need_no_recursion(self):
+        interp = frobenius_interpretation(trivial_algebra())
+        word = ("S1",) * 2000
+        state = bend_state(Id(word), interp)
+        assert state == Matrix.scalar(1)
+        assert reconstruct_map(state, word, word, interp) == Matrix.scalar(1)

@@ -1,5 +1,6 @@
 """Frobenius axioms, economy conversion, morphisms, and the obstruction test."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -86,6 +87,28 @@ class TestShapes:
             from_economy(2, mu, z2.eta, BilinearPairing(2, Matrix.identity(2)))
         with pytest.raises(ShapeError, match="generator 'pants': expected 2x4"):
             admits_frobenius_form(2, mu, z2.eta)
+
+
+class TestKeptInterpretation:
+    def test_equal_algebras_compare_and_hash_equal(self):
+        first, second = group_algebra(cyclic_group(3)), group_algebra(cyclic_group(3))
+        assert first.interpretation is not second.interpretation
+        assert first == second and hash(first) == hash(second)
+        assert repr(first) == repr(second) and "interpretation" not in repr(first)
+
+    def test_replace_rebuilds_the_interpretation(self, z2):
+        named = dataclasses.replace(z2, basis_names=("e", "g"))
+        assert named.interpretation is not z2.interpretation
+        assert named.interpretation.gen_matrix == z2.interpretation.gen_matrix
+        doubled = dataclasses.replace(z2, eps=z2.eps.scale(2))
+        assert doubled.interpretation.gen_matrix["cup"] == z2.eps.scale(2)
+        with pytest.raises(ShapeError, match="generator 'cup'"):
+            dataclasses.replace(z2, eps=Matrix.zeros(1, 3))
+
+    def test_interpretation_holds_the_circle_duality(self, z2):
+        copairing, pairing = z2.interpretation.duality["S1"]
+        assert copairing == matmul(z2.delta, z2.eta).reshape(2, 2)
+        assert pairing == matmul(z2.eps, z2.mu).reshape(2, 2)
 
 
 class TestFromEconomy:

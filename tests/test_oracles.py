@@ -8,7 +8,10 @@ relation checks and matrix products (the search walked the full grid
 hand-written morphism equations that ``check_morphism`` and
 ``dp_morphism_check`` used before both became naturality on the
 generators, and the padded Kronecker products that ``bend_state`` and
-``reconstruct_map`` used before they were written as reshaped products.  Gaussian elimination is the oracle for the
+``reconstruct_map`` used before they were written as reshaped products,
+with the nested duality terms ``coev_term`` and ``pairing_term`` they
+evaluated before a word's duality was assembled from the per-label
+matrices.  Gaussian elimination is the oracle for the
 duality-sandwich inverses.  Dense lists of ``Fraction`` rows are the
 oracle for the sparse matrix kernels and for the evaluator.  The index
 loops that ``validate_fusion_ring`` and ``grothendieck_frobenius`` ran
@@ -17,6 +20,7 @@ for the fusion-ring reports and commutativity witnesses.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from math import gcd
@@ -41,11 +45,10 @@ from tqftkit.dualpairs import DualPair, dp_morphism_inverse, standard_pair
 from tqftkit.evaluate import (
     Interpretation,
     bend_state,
+    MissingDuality,
     check_relations,
-    coev_term,
     eval_term,
     naturality_failures,
-    pairing_term,
     reconstruct_map,
 )
 from tqftkit.exactlin import (
@@ -165,6 +168,35 @@ def reference_admits(dim, mu, eta):
         rank(reference_grid_gram(dim, mu, lam)) == dim
         for lam in itertools.product(range(dim + 1), repeat=dim)
     )
+
+
+def coev_term(word, sig):
+    """Coevaluation () -> word . reverse(word), nested from the outside in."""
+    if not word:
+        return Id(())
+    head, rest = word[0], word[1:]
+    if head not in sig.duality:
+        raise MissingDuality(head)
+    base = sig.duality[head].coev
+    if not rest:
+        return base
+    inner = coev_term(rest, sig)
+    return Compose(base, Tensor(Id((head,)), Tensor(inner, Id((head,)))))
+
+
+def pairing_term(word, sig):
+    """Pairing reverse(word) . word -> (), the mate of ``coev_term``."""
+    if not word:
+        return Id(())
+    head, rest = word[0], word[1:]
+    if head not in sig.duality:
+        raise MissingDuality(head)
+    base = sig.duality[head].pairing
+    if not rest:
+        return base
+    inner = pairing_term(rest, sig)
+    rest_rev = tuple(reversed(rest))
+    return Compose(Tensor(Id(rest_rev), Tensor(base, Id(rest))), inner)
 
 
 def reference_bend_state(t, interp):
@@ -302,7 +334,7 @@ def test_check_relations_never_typechecks(monkeypatch):
     # the signature typechecked every side when it was built
     interps = [
         frobenius_interpretation(milnor_ring(4)),
-        dualpairs.dual_pair_interpretation(standard_pair(3)),
+        standard_pair(3).interpretation,
     ]
     calls = []
 
@@ -605,6 +637,73 @@ def test_bend_and_reconstruct_match_padded_kronecker_formulas():
             # a state that is no bent term
             other = Matrix(state.rows, 1, [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(state.rows)])
             assert reconstruct_map(other, src, tgt, interp) == reference_reconstruct_map(other, src, tgt, interp)
+
+
+def dualised_signature(undualised=()):
+    """Labels a, b and c, each with a unit and a counit generator and a
+    designated duality unless it is named in ``undualised``, and one
+    generator mixing a and b."""
+    g1 = {"m": (("a", "b"), ("b",))}
+    duality = {}
+    for x in "abc":
+        g1[f"u{x}"], g1[f"e{x}"] = ((), (x, x)), ((x, x), ())
+        if x not in undualised:
+            duality[x] = terms.DualityData(Gen(f"u{x}"), Gen(f"e{x}"))
+    return Signature("abc", g1, duality=duality)
+
+
+def dualised_interpretation(rng, sig):
+    dims = {"a": 2, "b": 3, "c": 1}
+    mats = {}
+    for name, (src, tgt) in sig.g1.items():
+        r, c = math.prod(dims[x] for x in tgt), math.prod(dims[x] for x in src)
+        mats[name] = Matrix(r, c, [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(r * c)])
+    return Interpretation(sig, dims, mats)
+
+
+def test_bend_and_reconstruct_match_nested_duality_terms_on_mixed_words():
+    rng = random.Random(31)
+    sig = dualised_signature()
+    interp = dualised_interpretation(rng, sig)
+    words = [w for k in range(4) for w in itertools.product("ab", repeat=k)]
+    assert len(words) == 15
+    for word in words:
+        ts = [Id(word)]
+        if word:
+            ts.append(Swap(word[:1], word[1:]))
+        if word[:2] == ("a", "b"):
+            ts.append(Tensor(Gen("m"), Id(word[2:])))
+        for t in ts:
+            src, tgt = typecheck(t, sig)
+            assert bend_state(t, interp) == reference_bend_state(t, interp), word
+            for target in (tgt, (), ("b", "a")):
+                rows = interp.dim(target) * interp.dim(src)
+                state = Matrix(rows, 1, [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(rows)])
+                assert reconstruct_map(state, src, target, interp) == reference_reconstruct_map(
+                    state, src, target, interp
+                ), (word, target)
+
+
+def test_missing_duality_names_the_first_undualised_label():
+    rng = random.Random(37)
+    for undualised, word, label in (
+        ("c", ("a", "b", "c"), "c"),
+        ("bc", ("a", "c", "b"), "c"),
+        ("bc", ("b", "a", "c"), "b"),
+        ("a", ("b", "b", "a"), "a"),
+    ):
+        sig = dualised_signature(undualised)
+        interp = dualised_interpretation(rng, sig)
+        for bend in (
+            lambda: bend_state(Id(word), interp),
+            lambda: reconstruct_map(Matrix.zeros(interp.dim(word), 1), word, (), interp),
+            lambda: reference_bend_state(Id(word), interp),
+            lambda: reference_reconstruct_map(Matrix.zeros(interp.dim(word), 1), word, (), interp),
+        ):
+            with pytest.raises(MissingDuality) as err:
+                bend()
+            assert err.value.label == label, (undualised, word)
+        assert sorted(interp.duality) == sorted(set("abc") - set(undualised))
 
 
 # --- post-conditions -------------------------------------------------------

@@ -13,7 +13,7 @@ from tqftkit.algebras import (
     symmetric_group,
     trivial_algebra,
 )
-from tqftkit.dualpairs import dual_pair_interpretation, loop_value
+from tqftkit.dualpairs import loop_value
 from tqftkit.evaluate import Interpretation, check_relations, eval_term
 from tqftkit.exactlin import Matrix, matmul
 from tqftkit.frobenius import BilinearPairing, FrobeniusAlgebra, from_economy
@@ -258,7 +258,7 @@ class TestReduction:
 
     def test_reduction_passes_loop_relations(self):
         pair = reduce_along_circle(milnor_ring(4))
-        assert check_relations(dual_pair_interpretation(pair)).ok
+        assert check_relations(pair.interpretation).ok
 
     def test_rejects_noncommutative(self):
         with pytest.raises(NotCommutative):

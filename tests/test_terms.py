@@ -182,6 +182,49 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_term("(cap ; cup", sig)
 
+    ATOM = ("NAME", "'id['", "'swap['", "'('")
+    AFTER_TERM = ("';'", "'*'", "end of input")
+
+    @pytest.mark.parametrize(
+        "text, offset, expected, found",
+        [
+            # where an atom is due
+            ("", 0, ATOM, "end of input"),
+            ("cap ; ; cup", 6, ATOM, "';'"),
+            ("cap * )", 6, ATOM, "')'"),
+            ("()", 1, ATOM, "')'"),
+            ("id[S1] * (pants ; ", 18, ATOM, "end of input"),
+            # after id and swap
+            ("id cap", 3, ("[",), "'cap'"),
+            ("id[S1", 5, ("]",), "end of input"),
+            ("id[S1,", 6, ("NAME",), "end of input"),
+            ("swap", 4, ("[",), "end of input"),
+            ("swap[", 5, ("NAME",), "end of input"),
+            # inside a swap word
+            ("swap[S1 S1]", 8, (",",), "'S1'"),
+            ("swap[(S1,S1", 11, (")",), "end of input"),
+            ("swap[1,(S1 S1)]", 11, (")",), "'S1'"),
+            # an unclosed parenthesis
+            ("(cap", 4, (")",), "end of input"),
+            ("((cap)", 6, (")",), "end of input"),
+            ("(cap cup)", 5, (")",), "'cup'"),
+            # trailing input
+            ("cap cup", 4, AFTER_TERM, "'cup'"),
+            ("cap )", 4, AFTER_TERM, "')'"),
+            ("(cap))", 5, AFTER_TERM, "')'"),
+        ],
+    )
+    def test_parse_error_positions(self, text, offset, expected, found):
+        with pytest.raises(ParseError) as err:
+            parse_term(text, bord2_signature())
+        assert (err.value.offset, err.value.expected, err.value.found) == (offset, expected, found)
+
+    def test_deep_parentheses_need_no_recursion(self):
+        sig = bord2_signature()
+        assert parse_term("(" * 3000 + "cap" + ")" * 3000, sig) == Gen("cap")
+        nested = "(" * 3000 + "cap ; (copants" + ")" * 3000 + " * cap) ; (pants * id[S1])"
+        assert render_term(parse_term(nested, sig)) == "(cap ; copants) * cap ; pants * id[S1]"
+
     def test_post_parse_typecheck(self):
         sig = bord2_signature()
         with pytest.raises(ComposeMismatch):
