@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from functools import cache
 
 from . import algebras, dualpairs, fusion, surfaces
@@ -39,6 +40,15 @@ def _fail(context: str, message: str) -> "CliError":
     return CliError(f"{context}: {message}")
 
 
+@contextmanager
+def _blamed(context: str):
+    """Report an input error raised inside the block as one naming ``context``."""
+    try:
+        yield
+    except (ValueError, TermError) as exc:
+        raise _fail(context, str(exc)) from exc
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -52,16 +62,13 @@ def _load_json(path: str):
 def _load_algebra(spec: str) -> FrobeniusAlgebra:
     if os.path.exists(spec) or spec.endswith(".json"):
         obj = _load_json(spec)
-        try:
+        with _blamed(spec):
             return algebra_from_json(obj)
-        except (ValueError, ShapeError) as exc:
-            raise _fail(spec, str(exc)) from exc
-    try:
-        return algebras.builtin_algebra(spec)
-    except KeyError:
-        raise _fail(spec, "unknown algebra (not a file, not a built-in name)") from None
-    except ValueError as exc:
-        raise _fail(spec, str(exc)) from exc
+    with _blamed(spec):
+        try:
+            return algebras.builtin_algebra(spec)
+        except KeyError:
+            raise ValueError("unknown algebra (not a file, not a built-in name)") from None
 
 
 def _load_signature(spec: str) -> Signature:
@@ -70,25 +77,19 @@ def _load_signature(spec: str) -> Signature:
     if spec == "bord2":
         return surfaces.bord2_signature()
     obj = _load_json(spec)
-    try:
+    with _blamed(spec):
         return signature_from_json(obj)
-    except (ValueError, TermError) as exc:
-        raise _fail(spec, str(exc)) from exc
 
 
 def _load_interpretation(sig_spec: str, algebra_spec: str) -> Interpretation:
     if sig_spec == "bord2":
         alg = _load_algebra(algebra_spec)
-        try:
+        with _blamed(algebra_spec):
             return surfaces.frobenius_interpretation(alg)
-        except ValueError as exc:
-            raise _fail(algebra_spec, str(exc)) from exc
     if sig_spec == "bord1":
         obj = _load_json(algebra_spec)
-        try:
+        with _blamed(algebra_spec):
             return dualpairs.dual_pair_from_json(obj).interpretation
-        except (ValueError, ShapeError) as exc:
-            raise _fail(algebra_spec, str(exc)) from exc
     sig = _load_signature(sig_spec)
     obj = _load_json(algebra_spec)
     try:
@@ -110,10 +111,8 @@ def _load_term(spec: str, sig: Signature):
     else:
         text = spec
         context = "term"
-    try:
+    with _blamed(context):
         return parse_term(text, sig)
-    except TermError as exc:
-        raise _fail(context, str(exc)) from exc
 
 
 def _emit(payload, as_json: bool, text: str | None = None) -> None:
@@ -150,10 +149,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_invariant(args) -> int:
     alg = _load_algebra(args.algebra)
-    try:
+    with _blamed(args.algebra):
         value = surfaces.surface_invariant(alg, args.genus)
-    except ValueError as exc:
-        raise _fail(args.algebra, str(exc)) from exc
     _emit({"genus": args.genus, "value": scalar_to_str(value)}, args.json, scalar_to_str(value))
     return 0
 
@@ -172,20 +169,16 @@ def _cmd_relations(args) -> int:
 
 def _cmd_reduce(args) -> int:
     alg = _load_algebra(args.algebra)
-    try:
+    with _blamed(args.algebra):
         pair = surfaces.reduce_along_circle(alg)
-    except ValueError as exc:
-        raise _fail(args.algebra, str(exc)) from exc
     print(json.dumps(dualpairs.dual_pair_to_json(pair)))
     return 0
 
 
 def _cmd_fusion(args) -> int:
     obj = _load_json(args.ring)
-    try:
+    with _blamed(args.ring):
         ring = fusion.fusion_ring_from_json(obj)
-    except ValueError as exc:
-        raise _fail(args.ring, str(exc)) from exc
     report = fusion.validate_fusion_ring(ring)
     if not report.ok:
         raise _fail(args.ring, f"invalid fusion ring: {report.failures[0][0]} at {report.failures[0][1]}")
@@ -197,10 +190,8 @@ def _cmd_fusion(args) -> int:
         value = fusion.hom_dimension(ring, word)
         _emit({"word": args.word, "hom_dimension": value}, args.json, str(value))
         return 0
-    try:
+    with _blamed(args.ring):
         alg = fusion.grothendieck_frobenius(ring)
-    except ValueError as exc:
-        raise _fail(args.ring, str(exc)) from exc
     value = surfaces.surface_invariant(alg, args.genus)
     _emit({"genus": args.genus, "value": scalar_to_str(value)}, args.json, scalar_to_str(value))
     return 0

@@ -37,7 +37,7 @@ from .exactlin import (
     matrix_to_json,
     scalar_from_str,
 )
-from .terms import Compose, Gen, Id, Relation, Signature, Tensor, parse_term
+from .terms import Relation, Signature, parse_term
 
 __all__ = [
     "DualPair",
@@ -100,23 +100,17 @@ def standard_pair(n: int) -> DualPair:
 @cache
 def bord1_signature() -> Signature:
     g0 = ["pp", "pm"]
-    g1 = {
-        "coev": ((), ("pp", "pm")),
-        "ev": (("pm", "pp"), ()),
-    }
-    snake_pp = Relation(
-        "snake_pp",
-        Compose(Tensor(Gen("coev"), Id(("pp",))), Tensor(Id(("pp",)), Gen("ev"))),
-        Id(("pp",)),
-    )
-    snake_pm = Relation(
-        "snake_pm",
-        Compose(Tensor(Id(("pm",)), Gen("coev")), Tensor(Gen("ev"), Id(("pm",)))),
-        Id(("pm",)),
-    )
-    return Signature(g0, g1, [snake_pp, snake_pm])
+    g1 = {"coev": ((), ("pp", "pm")), "ev": (("pm", "pp"), ())}
+    sig = Signature(g0, g1)
+    snakes = {"pp": "coev * id[pp] ; id[pp] * ev", "pm": "id[pm] * coev ; ev * id[pm]"}
+    relations = [
+        Relation(f"snake_{x}", parse_term(snake, sig), parse_term(f"id[{x}]", sig))
+        for x, snake in snakes.items()
+    ]
+    return Signature(g0, g1, relations)
 
 
+@cache
 def loop_term():
     return parse_term("coev ; swap[pp,pm] ; ev", bord1_signature())
 

@@ -2,11 +2,11 @@
 
 An interpretation assigns a positive dimension to every object generator
 and a matrix of shape dim(target) x dim(source) to every morphism
-generator.  Evaluation is structural: identities become identity
-matrices, tensoring becomes the Kronecker product, diagrammatic
-composition ``s ; t`` becomes the matrix product eval(t) . eval(s), and
-a swap becomes the block-transposition permutation of the two word
-dimensions.
+generator.  Evaluation is the one ``terms.fold``, with no recursion: a
+generator is its matrix, an identity an identity matrix and a swap the
+block-transposition permutation of its two word dimensions; a tensor is
+the Kronecker product of its factors' values and ``s ; t`` the product
+eval(t) . eval(s), each formed as soon as both factors' values are known.
 
 ``relation_values`` yields each relation with the values of its two
 sides, each distinct side evaluated once; ``check_relations`` reports the
@@ -17,15 +17,13 @@ A morphism of interpretations is a monoidal natural transformation: one
 component per object label, natural at every generator.  The Frobenius
 and dual-pair morphism checks are both one call of ``naturality_failures``.
 
-The module also implements the closed-state calculus: ``bend_state``
-turns a map E -> F into a state () -> F . E* by precomposing with the
-designated coevaluation of E, and ``reconstruct_map`` contracts such a
-state back into a map using the designated pairing.  Both contract by
-reshaped products, never by Kronecker products with identities.
-Designated duality terms live in the signature, one pair per (self-dual)
-object label, and an interpretation evaluates them once, when it is
-built (``Interpretation.duality``).  A word's copairing C and pairing P
-nest the labels' ones, the first outermost: for E = (x, rest),
+The closed-state calculus: ``bend_state`` turns a map E -> F into a
+state () -> F . E* with the designated coevaluation of E, and
+``reconstruct_map`` contracts the state back with the designated
+pairing, both by reshaped products.  An interpretation evaluates each
+label's designated duality once, when it is built
+(``Interpretation.duality``); a word's copairing C and pairing P nest the
+labels' ones, the first outermost: for E = (x, rest),
 C_E = (C_x (x) C_rest) . swap(rest, x) and P_E = swap(x, rest) .
 (P_x (x) P_rest), assembled per call with no term built or kept.
 """
@@ -45,8 +43,8 @@ from .terms import (
     Relation,
     Signature,
     Swap,
-    Tensor,
     Term,
+    fold,
     render_term,
     render_word,
     typecheck,
@@ -118,39 +116,24 @@ def eval_term(t: Term, interp: Interpretation) -> Matrix:
     return _eval(t, interp)
 
 
-# stack marker: the two factors of the term below it are done
-_COMBINE = object()
-
-
 def _eval(t: Term, interp: Interpretation) -> Matrix:
-    """Evaluate a well-typed term from an explicit stack, depth first, so
-    that deep terms need no recursion."""
-    values = []  # matrices of finished subterms, in post-order
-    stack: list = [t]
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        if kind is Gen:
-            values.append(interp.gen_matrix[node.name])
-        elif kind is Compose:
-            stack += (node, _COMBINE, node.then, node.first)
-        elif kind is Tensor:
-            stack += (node, _COMBINE, node.right, node.left)
-        elif node is _COMBINE:
-            node = stack.pop()
-            second = values.pop()
-            first = values.pop()
-            if type(node) is Compose:
-                values.append(matmul(second, first))
-            else:
-                values.append(kron(first, second))
-        elif kind is Id:
-            values.append(Matrix.identity(interp.dim(node.word)))
-        elif kind is Swap:
-            values.append(swap_matrix(interp.dim(node.left), interp.dim(node.right)))
-        else:
-            raise TypeError(f"not a term: {node!r}")
-    return values[0]
+    """Evaluate a well-typed term by one ``fold``."""
+    return fold(t, _value_leaf, _value_combine, interp)
+
+
+def _value_leaf(t: Term, interp: Interpretation) -> Matrix:
+    kind = type(t)
+    if kind is Gen:
+        return interp.gen_matrix[t.name]
+    if kind is Id:
+        return Matrix.identity(interp.dim(t.word))
+    if kind is Swap:
+        return swap_matrix(interp.dim(t.left), interp.dim(t.right))
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _value_combine(t: Term, first: Matrix, second: Matrix, interp: Interpretation) -> Matrix:
+    return matmul(second, first) if type(t) is Compose else kron(first, second)
 
 
 @dataclass(frozen=True)
@@ -272,11 +255,10 @@ def bend_state(t: Term, interp: Interpretation) -> Matrix:
     and is returned as its own evaluation.
     """
     src, _ = typecheck(t, interp.sig)
-    if not src:
-        return _eval(t, interp)
-    copairing = _word_duality(src, interp, False)
     m = _eval(t, interp)
-    return matmul(m, copairing).reshape(m.rows * m.cols, 1)
+    if not src:
+        return m
+    return matmul(m, _word_duality(src, interp, False)).reshape(m.rows * m.cols, 1)
 
 
 def reconstruct_map(

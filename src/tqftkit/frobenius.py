@@ -281,18 +281,24 @@ def from_economy(
     """Build the full structure from an algebra and an invariant
     nondegenerate pairing.
 
-    Invariance is verified on all basis triples (sufficient by
-    bilinearity), nondegeneracy by the rank of the Gram matrix.  The
-    counit pairs against the unit; the coproduct multiplies into the
-    copairing, which is the flattened inverse Gram matrix.
+    After the algebra laws, invariance is verified on all basis triples
+    (sufficient by bilinearity), nondegeneracy by inverting the Gram
+    matrix.  The counit pairs against the unit; the coproduct multiplies
+    into the copairing, which is the flattened inverse Gram matrix.
     """
     _check_algebra(dim, mu, eta)
+    return _complete(dim, mu, eta, pairing, basis_names)
+
+
+def _complete(dim: int, mu: Matrix, eta: Matrix, pairing: BilinearPairing, basis_names) -> FrobeniusAlgebra:
+    """``from_economy`` past the algebra laws, for callers that checked them."""
     gram = pairing.gram
     if pairing.dim != dim:
         raise ShapeError(f"pairing is for dimension {pairing.dim}, algebra has {dim}")
-    found = rank(gram)
-    if found < dim:
-        raise PairingDegenerate(found, dim)
+    try:
+        copairing = inverse(gram)
+    except ShapeError:
+        raise PairingDegenerate(rank(gram), dim) from None
     # <b_i.b_j, b_k> and <b_i, b_j.b_k> at row i*dim + j, column k
     lhs = matmul(mu.transpose(), gram)
     rhs = matmul(gram, mu).reshape(dim * dim, dim)
@@ -304,8 +310,7 @@ def from_economy(
     eps = matmul(gram, eta).transpose()
     # delta(a) = (mu (x) id)(a (x) c) with c the flattened inverse Gram matrix
     eye = Matrix.identity(dim)
-    c = inverse(gram).reshape(dim * dim, 1)
-    delta = matmul(kron(mu, eye), kron(eye, c))
+    delta = matmul(kron(mu, eye), kron(eye, copairing.reshape(dim * dim, 1)))
     return FrobeniusAlgebra(
         dim, mu, eta, delta, eps,
         tuple(basis_names) if basis_names is not None else None,
@@ -313,8 +318,9 @@ def from_economy(
 
 
 def to_economy(alg: FrobeniusAlgebra) -> BilinearPairing:
-    """Pairing <a, b> = eps(a.b); nondegenerate whenever the axioms hold."""
-    return BilinearPairing(alg.dim, matmul(alg.eps, alg.mu).reshape(alg.dim, alg.dim))
+    """Pairing <a, b> = eps(a.b), the designated pairing ``pants ; cup``;
+    nondegenerate whenever the axioms hold."""
+    return BilinearPairing(alg.dim, alg.interpretation.duality["S1"][1])
 
 
 def check_morphism(source: FrobeniusAlgebra, target: FrobeniusAlgebra, psi: Matrix) -> Optional[int]:
@@ -335,8 +341,8 @@ def morphism_inverse(source: FrobeniusAlgebra, target: FrobeniusAlgebra, psi: Ma
     failing = check_morphism(source, target, psi)
     if failing is not None:
         raise NotAFrobeniusMorphism(failing)
-    copairing = matmul(source.delta, source.eta).reshape(source.dim, source.dim)
-    inv = matmul(copairing, matmul(psi.transpose(), to_economy(target).gram))
+    copairing = source.interpretation.duality["S1"][0]
+    inv = matmul(copairing, matmul(psi.transpose(), target.interpretation.duality["S1"][1]))
     for name, composite in (("inv . psi", matmul(inv, psi)), ("psi . inv", matmul(psi, inv))):
         if not composite.is_identity():
             raise AssertionError(f"morphism_inverse: {name} is not the identity")

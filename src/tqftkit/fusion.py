@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .evaluate import Interpretation, relation_values
 from .exactlin import Matrix, integer_from_json
-from .frobenius import BilinearPairing, FrobeniusAlgebra, _algebra_signature, from_economy
+from .frobenius import BilinearPairing, FrobeniusAlgebra, _algebra_signature, _complete
 
 __all__ = [
     "FusionRing",
@@ -148,19 +148,9 @@ def hom_dimension(ring: FusionRing, word: Sequence[int]) -> int:
             raise IndexError(f"label index {idx} out of range 0..{r - 1}")
     if not word:
         return 1
-    vec = [0] * r
-    vec[word[0]] = 1
+    vec = [int(k == word[0]) for k in range(r)]
     for idx in word[1:]:
-        nxt = [0] * r
-        for i in range(r):
-            v = vec[i]
-            if v == 0:
-                continue
-            row = ring.n[i][idx]
-            for k in range(r):
-                if row[k]:
-                    nxt[k] += v * row[k]
-        vec = nxt
+        vec = [sum(v * ring.n[i][idx][k] for i, v in enumerate(vec) if v) for k in range(r)]
     return vec[0]
 
 
@@ -169,7 +159,7 @@ def grothendieck_frobenius(ring: FusionRing) -> FrobeniusAlgebra:
 
     Requires a valid ring, commutative by relation R4a; its structure
     matrix becomes the product, the unit label the unit, and coproduct
-    and counit come out of the economy conversion.
+    and counit come out of the economy conversion past its law check.
     """
     report, interp, differs = _validate(ring)
     if not report.ok:
@@ -179,7 +169,7 @@ def grothendieck_frobenius(ring: FusionRing) -> FrobeniusAlgebra:
         raise NotCommutativeRing(min((ij // r, ij % r, k) for k, ij in differs["R4a_commutative"]))
     gram = Matrix(r, r, [int(j == d) for d in ring.dual for j in range(r)])
     mu, eta = interp.gen_matrix["pants"], interp.gen_matrix["cap"]
-    return from_economy(r, mu, eta, BilinearPairing(r, gram), ring.labels)
+    return _complete(r, mu, eta, BilinearPairing(r, gram), ring.labels)
 
 
 # --- stock rings -----------------------------------------------------------

@@ -11,16 +11,15 @@ unit/counit equations (R2), the three pairwise equalities of the
 three-term compatibility chain linking product and coproduct (R3), and
 commutativity plus cocommutativity (R4).
 
-A closed genus-g surface is evaluated through the canonical
-decomposition ``cap ; (copants ; pants)^g ; cup``; its value is the
-counit of the g-th power of the handle operator mu . delta applied to
-the unit, and at genus one it equals the algebra's dimension.
-
-Reduction along the circle turns the algebra into a dual pair whose
-copairing and pairing are the values of the signature's designated
-duality for ``S1``, which the algebra's interpretation evaluated when it
-was built; the relation check in ``frobenius_interpretation`` is the one
-gate on commutative Frobenius algebras.
+A closed genus-g surface is the canonical decomposition
+``cap ; (copants ; pants)^g ; cup``, a composition spine as deep as the
+genus; its value is the counit of the g-th power of the handle operator
+mu . delta applied to the unit, and at genus one it equals the algebra's
+dimension.  No term is walked by recursion here: terms are evaluated by
+the one ``terms.fold``, and the connected-sum identity strips ``cap``
+and ``cup`` off the spine in a loop.  The relation check in
+``frobenius_interpretation`` is the one gate on commutative Frobenius
+algebras, which reduce along the circle to a dual pair.
 """
 
 from __future__ import annotations
@@ -95,21 +94,18 @@ def surface_invariant(alg: FrobeniusAlgebra, genus: int) -> Fraction:
     return matmul(alg.eps, state).entry(0, 0)
 
 
-def _strip_leading(t: Term, name: str) -> Term:
-    """Remove the generator sitting at the start of the composition spine."""
-    if isinstance(t, Compose):
-        if t.first == Gen(name):
-            return t.then
-        return Compose(_strip_leading(t.first, name), t.then)
-    raise ValueError(f"term does not start with {name!r}: {render_term(t)}")
-
-
-def _strip_trailing(t: Term, name: str) -> Term:
-    if isinstance(t, Compose):
-        if t.then == Gen(name):
-            return t.first
-        return Compose(t.first, _strip_trailing(t.then, name))
-    raise ValueError(f"term does not end with {name!r}: {render_term(t)}")
+def _strip(t: Term, name: str, at_start: bool) -> Term:
+    """Remove generator ``name`` from the start (or the end) of the composition spine."""
+    passed = []  # the other factor of each composition on the way down
+    while isinstance(t, Compose):
+        inner, other = (t.first, t.then) if at_start else (t.then, t.first)
+        if inner == Gen(name):
+            for factor in reversed(passed):
+                other = Compose(other, factor) if at_start else Compose(factor, other)
+            return other
+        passed.append(other)
+        t = inner
+    raise ValueError(f"term does not {'start' if at_start else 'end'} with {name!r}: {render_term(t)}")
 
 
 def connected_sum_identity(alg: FrobeniusAlgebra, term_m: Term, term_n: Term) -> bool:
@@ -127,8 +123,8 @@ def connected_sum_identity(alg: FrobeniusAlgebra, term_m: Term, term_n: Term) ->
     if sphere == 0:
         raise ValueError("sphere value is zero; the algebra is degenerate")
     interp = frobenius_interpretation(alg)
-    m_rest = _strip_leading(term_m, "cap")  # (S1) -> E
-    n_rest = _strip_trailing(term_n, "cup")  # F -> (S1)
+    m_rest = _strip(term_m, "cap", at_start=True)  # (S1) -> E
+    n_rest = _strip(term_n, "cup", at_start=False)  # F -> (S1)
     summed = eval_term(Compose(n_rest, m_rest), interp)
     direct = matmul(eval_term(term_m, interp), eval_term(term_n, interp))
     return summed.scale(sphere) == direct

@@ -19,6 +19,15 @@ product and binds tighter than ``;``, ``1`` is the empty word, and
 whitespace is insignificant.  Swap arguments of more than one label must
 be parenthesized, since bare commas already separate the two arguments;
 single-label swaps look like ``swap[S1,S1]``.
+
+Typing, evaluating and rendering extend values on the leaves
+(generators, identities, swaps) along tensors and compositions, each by
+one ``fold``: a depth-first, left-to-right, post-order walk from an
+explicit stack, so term depth is bounded by memory, not by the recursion
+limit.  Leaves come in reading order and a node right after its second
+factor; error paths name the first offending subterm in this order.
+Rendering records per leaf its text, separator and parentheses and joins
+them once, so it takes time linear in the length of the text.
 """
 
 from __future__ import annotations
@@ -48,6 +57,7 @@ __all__ = [
     "TermError",
     "UnknownGenerator",
     "UnknownObject",
+    "fold",
     "parse_term",
     "render_term",
     "render_word",
@@ -138,6 +148,7 @@ class Tensor:
 
 
 Term = Union[Gen, Id, Swap, Compose, Tensor]
+_FACTORS = {Compose: ("first", "then"), Tensor: ("left", "right")}  # path steps
 
 
 @dataclass(frozen=True)
@@ -194,12 +205,11 @@ class Signature:
             if name in seen:
                 raise ValueError(f"generator name {name!r} clashes with another name")
             seen.add(name)
-            for w in (src, tgt):
-                for label in w:
-                    if label not in self.g0:
-                        raise UnknownObject(label)
-        index: dict[Term, int] = {}
-        pairs = []
+            for label in src + tgt:
+                if label not in self.g0:
+                    raise UnknownObject(label)
+        index: dict[str, int] = {}  # by rendered text, since term hashing recurses
+        sides, pairs = [], []
         for rel in self.g2:
             ls, lt = typecheck(rel.lhs, self)
             rs, rt = typecheck(rel.rhs, self)
@@ -209,8 +219,12 @@ class Signature:
                     f"({render_word(ls)})->({render_word(lt)}) vs "
                     f"({render_word(rs)})->({render_word(rt)})"
                 )
-            pairs.append((index.setdefault(rel.lhs, len(index)), index.setdefault(rel.rhs, len(index))))
-        self.sides: tuple[Term, ...] = tuple(index)
+            pair = tuple(index.setdefault(render_term(side), len(index)) for side in (rel.lhs, rel.rhs))
+            for k, side in zip(pair, (rel.lhs, rel.rhs)):
+                if k == len(sides):
+                    sides.append(side)
+            pairs.append(pair)
+        self.sides: tuple[Term, ...] = tuple(sides)
         self.side_pairs: tuple[tuple[int, int], ...] = tuple(pairs)
         for label, data in self.duality.items():
             if label not in self.g0:
@@ -242,70 +256,83 @@ def _check_name(name: str) -> None:
 _COMBINE = object()
 
 
-def typecheck(t: Term, sig: Signature) -> tuple[ObjectWord, ObjectWord]:
-    """Source and target of a term, or a typed error with the path to the
-    offending subterm.
-
-    Subterms are visited depth first, left to right, from an explicit
-    stack, so the depth of a term is bounded by memory rather than by the
-    interpreter's recursion limit.
-    """
-    types = []  # (source, target) of each finished subterm, in post-order
+def fold(t: Term, leaf, combine, ctx):
+    """The value of ``t``: ``leaf(node, ctx)`` at each generator, identity
+    and swap, ``combine(node, first, second, ctx)`` at each composition and
+    tensor on its factors' values, in the module docstring's walk order."""
+    values = []  # values of finished subterms, in post-order
     stack: list = [t]
     while stack:
         node = stack.pop()
         kind = type(node)
-        if kind is Gen:
-            typed = sig.g1.get(node.name)
-            if typed is None:
-                raise UnknownGenerator(node.name, _path_to(t, node))
-            types.append(typed)
-        elif kind is Compose:
+        if kind is Compose:
             stack += (node, _COMBINE, node.then, node.first)
         elif kind is Tensor:
             stack += (node, _COMBINE, node.right, node.left)
         elif node is _COMBINE:
-            node = stack.pop()
-            src2, tgt2 = types.pop()
-            src1, tgt1 = types.pop()
-            if type(node) is Tensor:
-                types.append((src1 + src2, tgt1 + tgt2))
-            elif tgt1 != src2:
-                raise ComposeMismatch(tgt1, src2, _path_to(t, node))
-            else:
-                types.append((src1, tgt2))
-        elif kind is Id:
-            _check_word(node.word, sig, t, node)
-            types.append((node.word, node.word))
-        elif kind is Swap:
-            _check_word(node.left, sig, t, node)
-            _check_word(node.right, sig, t, node)
-            types.append((node.left + node.right, node.right + node.left))
+            second = values.pop()
+            values[-1] = combine(stack.pop(), values[-1], second, ctx)
         else:
-            raise TypeError(f"not a term: {node!r}")
-    return types[0]
+            values.append(leaf(node, ctx))
+    return values[0]
 
 
-def _check_word(word: ObjectWord, sig: Signature, root: Term, node: Term) -> None:
-    for label in word:
+def typecheck(t: Term, sig: Signature) -> tuple[ObjectWord, ObjectWord]:
+    """Source and target of a term, or a typed error with the path to the
+    first offending subterm in walk order."""
+    return fold(t, _type_leaf, _type_combine, (sig, t))
+
+
+def _type_leaf(node: Term, ctx) -> tuple[ObjectWord, ObjectWord]:
+    sig, root = ctx
+    kind = type(node)
+    if kind is Gen:
+        typed = sig.g1.get(node.name)
+        if typed is None:
+            raise UnknownGenerator(node.name, _path_to(root, node))
+        return typed
+    if kind is Id:
+        typed = node.word, node.word
+    elif kind is Swap:
+        typed = node.left + node.right, node.right + node.left
+    else:
+        raise TypeError(f"not a term: {node!r}")
+    for label in typed[0]:
         if label not in sig.g0:
             raise UnknownObject(label, _path_to(root, node))
+    return typed
+
+
+def _type_combine(node: Term, first, second, ctx) -> tuple[ObjectWord, ObjectWord]:
+    (src1, tgt1), (src2, tgt2) = first, second
+    if type(node) is Tensor:
+        return src1 + src2, tgt1 + tgt2
+    if tgt1 != src2:
+        raise ComposeMismatch(tgt1, src2, _path_to(ctx[1], node))
+    return src1, tgt2
 
 
 def _path_to(root: Term, node: Term) -> tuple[str, ...]:
     """Path from ``root`` to the first occurrence of the subterm object
-    ``node``, in the order ``typecheck`` visits subterms; a subterm that
-    fails to typecheck fails at its first occurrence."""
-    stack = [(root, ())]
-    while stack:
-        t, path = stack.pop()
-        if t is node:
-            return path
-        if isinstance(t, Compose):
-            stack += ((t.then, path + ("then",)), (t.first, path + ("first",)))
-        elif isinstance(t, Tensor):
-            stack += ((t.right, path + ("right",)), (t.left, path + ("left",)))
-    raise LookupError(f"{node!r} is not a subterm")
+    ``node`` in walk order."""
+    steps = fold(root, _path_leaf, _path_combine, node)
+    if steps is None:
+        raise LookupError(f"{node!r} is not a subterm")
+    return tuple(reversed(steps))
+
+
+def _path_leaf(t: Term, node: Term) -> list[str] | None:
+    # a subterm's value: None, or the steps from it down to node, last first
+    return [] if t is node else None
+
+
+def _path_combine(t: Term, first, second, node: Term) -> list[str] | None:
+    if t is node:
+        return []
+    steps = first if first is not None else second
+    if steps is not None:
+        steps.append(_FACTORS[type(t)][first is None])
+    return steps
 
 
 # --- lexer -----------------------------------------------------------------
@@ -371,7 +398,7 @@ class _Parser:
             levels[-1][1].append(self.atom())
             tok = self.next()
             while tok[0] == ")" and len(levels) > 1:
-                inner = _fold(*levels.pop())
+                inner = _bracket_term(*levels.pop())
                 levels[-1][1].append(inner)
                 tok = self.next()
             if tok[0] == ";":
@@ -384,7 +411,7 @@ class _Parser:
             raise ParseError(tok[2], [")"], _describe(tok))
         if tok[0] != "END":
             raise ParseError(tok[2], ["';'", "'*'", "end of input"], _describe(tok))
-        return _fold(*levels[0])
+        return _bracket_term(*levels[0])
 
     def atom(self) -> Term:
         tok = self.peek()
@@ -429,7 +456,7 @@ class _Parser:
         return (self.expect("NAME")[1],)
 
 
-def _fold(composed: list, tensored: list) -> Term:
+def _bracket_term(composed: list, tensored: list) -> Term:
     return reduce(Compose, composed + [reduce(Tensor, tensored)])
 
 
@@ -455,33 +482,47 @@ def render_word(word: ObjectWord) -> str:
 
 
 def _render_swapword(word: ObjectWord) -> str:
-    if not word:
-        return "1"
-    if len(word) == 1:
-        return word[0]
-    return "(" + ",".join(word) + ")"
+    return f"({render_word(word)})" if len(word) > 1 else render_word(word)
 
 
 def render_term(t: Term) -> str:
-    """Canonical rendering; ``parse_term(render_term(t))`` reproduces ``t``."""
-    return _render(t, 0)
+    """Canonical text of ``t``, in linear time; ``parse_term`` reads ``t`` back."""
+    pieces: list[list] = []  # per leaf, in reading order: [separator, opens, text, closes]
+    fold(t, _render_leaf, _render_combine, pieces)
+    return "".join([sep + "(" * opens + text + ")" * closes for sep, opens, text, closes in pieces])
 
 
-def _render(t: Term, level: int) -> str:
-    # levels: 0 composition, 1 tensor, 2 atom
-    if isinstance(t, Gen):
-        return t.name
-    if isinstance(t, Id):
-        return f"id[{render_word(t.word)}]"
-    if isinstance(t, Swap):
-        return f"swap[{_render_swapword(t.left)},{_render_swapword(t.right)}]"
-    if isinstance(t, Compose):
-        body = f"{_render(t.first, 0)} ; {_render(t.then, 1)}"
-        return f"({body})" if level > 0 else body
-    if isinstance(t, Tensor):
-        body = f"{_render(t.left, 1)} * {_render(t.right, 2)}"
-        return f"({body})" if level > 1 else body
-    raise TypeError(f"not a term: {t!r}")
+def _render_leaf(t: Term, pieces: list) -> int:
+    # a subterm's value is the index of its first leaf's piece
+    kind = type(t)
+    if kind is Gen:
+        text = t.name
+    elif kind is Id:
+        text = f"id[{render_word(t.word)}]"
+    elif kind is Swap:
+        text = f"swap[{_render_swapword(t.left)},{_render_swapword(t.right)}]"
+    else:
+        raise TypeError(f"not a term: {t!r}")
+    pieces.append(["", 0, text, 0])
+    return len(pieces) - 1
+
+
+def _render_combine(t: Term, start: int, middle: int, pieces: list) -> int:
+    # parenthesize a composition inside a tensor, and a second factor that
+    # binds as loosely as t (both operators associate to the left)
+    if type(t) is Compose:
+        pieces[middle][0] = " ; "
+        wrap_second = type(t.then) is Compose
+    else:
+        pieces[middle][0] = " * "
+        if type(t.left) is Compose:
+            pieces[start][1] += 1
+            pieces[middle - 1][3] += 1
+        wrap_second = type(t.right) in (Compose, Tensor)
+    if wrap_second:
+        pieces[middle][1] += 1
+        pieces[-1][3] += 1
+    return start
 
 
 # --- signature JSON --------------------------------------------------------
