@@ -5,7 +5,8 @@ Algebra specs are built-in names (z2, z3, s3, milnor:d, center:[n1,...],
 triangular) or paths to algebra JSON files.  Exit codes: 0 on success,
 1 when a check / relation / reconstruction report fails, 2 on parse,
 IO or shape errors (with a one-line diagnostic naming the input and
-position).  All scalars print exactly as p/q.
+position) and, as a last resort, when an input exhausts memory or the
+nesting depth.  All scalars print exactly as p/q.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from contextlib import contextmanager
 from functools import cache
 
 from . import algebras, dualpairs, fusion, surfaces
-from .evaluate import Interpretation, check_relations, eval_term, bend_state, reconstruct_map
+from .evaluate import Interpretation, bend_value, check_relations, eval_typed_term, reconstruct_map
 from .exactlin import ShapeError, integer_from_json, matrix_from_json, matrix_to_json, scalar_to_str
 from .frobenius import (
     AxiomReport,
@@ -27,7 +28,7 @@ from .frobenius import (
     algebra_from_json,
     check_axioms,
 )
-from .terms import Signature, TermError, parse_term, signature_from_json, typecheck
+from .terms import Signature, TermError, parse_typed_term, signature_from_json
 
 __all__ = ["main", "run"]
 
@@ -101,6 +102,7 @@ def _load_interpretation(sig_spec: str, algebra_spec: str) -> Interpretation:
 
 
 def _load_term(spec: str, sig: Signature):
+    """The term a --term argument names, with its source and target."""
     if os.path.exists(spec):
         try:
             with open(spec, "r", encoding="utf-8") as fh:
@@ -112,7 +114,7 @@ def _load_term(spec: str, sig: Signature):
         text = spec
         context = "term"
     with _blamed(context):
-        return parse_term(text, sig)
+        return parse_typed_term(text, sig)
 
 
 def _emit(payload, as_json: bool, text: str | None = None) -> None:
@@ -141,8 +143,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_eval(args) -> int:
     interp = _load_interpretation(args.sig, args.algebra)
-    term = _load_term(args.term, interp.sig)
-    result = eval_term(term, interp)
+    term, _, _ = _load_term(args.term, interp.sig)
+    result = eval_typed_term(term, interp)
     print(json.dumps(matrix_to_json(result)))
     return 0
 
@@ -199,11 +201,9 @@ def _cmd_fusion(args) -> int:
 
 def _cmd_recon(args) -> int:
     interp = _load_interpretation("bord2", args.algebra)
-    term = _load_term(args.term, interp.sig)
-    src, tgt = typecheck(term, interp.sig)
-    direct = eval_term(term, interp)
-    state = bend_state(term, interp)
-    rebuilt = reconstruct_map(state, src, tgt, interp)
+    term, src, tgt = _load_term(args.term, interp.sig)
+    direct = eval_typed_term(term, interp)
+    rebuilt = reconstruct_map(bend_value(direct, src, interp), src, tgt, interp)
     agree = direct == rebuilt
     payload = {
         "direct": matrix_to_json(direct),
@@ -289,6 +289,13 @@ def run(argv: list[str]) -> int:
         return args.func(args)
     except (CliError, TermError, ShapeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    # last resort: the input was too large or too deep for this process
+    except MemoryError:
+        print("error: out of memory; the input is too large to evaluate", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: the input is nested too deeply to process", file=sys.stderr)
         return 2
 
 

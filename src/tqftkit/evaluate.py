@@ -2,11 +2,17 @@
 
 An interpretation assigns a positive dimension to every object generator
 and a matrix of shape dim(target) x dim(source) to every morphism
-generator.  Evaluation is the one ``terms.fold``, with no recursion: a
-generator is its matrix, an identity an identity matrix and a swap the
-block-transposition permutation of its two word dimensions; a tensor is
-the Kronecker product of its factors' values and ``s ; t`` the product
-eval(t) . eval(s), each formed as soon as both factors' values are known.
+generator.  Evaluation is the one ``terms.fold``, with no recursion.  Its
+values are legs ``(l, a, r)`` standing for I_l (x) a (x) I_r: identity
+legs are index maps, not matrices.  A generator is ``(1, matrix, 1)``, an
+identity ``(dim, [1], 1)`` and a swap the block-transposition permutation
+of its two word dimensions.  A tensor with an identity factor widens the
+other factor's legs.  ``s ; t`` applies eval(t) to eval(s) with
+``exactlin.padded_matmul`` and keeps the identity legs the two share
+(I_g (x) x (x) I_h with g and h the gcds of their legs) as legs of the
+result.  Only a tensor of two non-identity factors builds a Kronecker
+product, and a value is built as a matrix only at the root, where its
+legs are applied to an identity by the same kernel.
 
 ``relation_values`` yields each relation with the values of its two
 sides, each distinct side evaluated once; ``check_relations`` reports the
@@ -15,7 +21,8 @@ the fusion-ring laws are all relations evaluated here.
 
 A morphism of interpretations is a monoidal natural transformation: one
 component per object label, natural at every generator.  The Frobenius
-and dual-pair morphism checks are both one call of ``naturality_failures``.
+and dual-pair morphism checks are both one call of ``naturality_failures``,
+which applies a word's components one leg at a time.
 
 The closed-state calculus: ``bend_state`` turns a map E -> F into a
 state () -> F . E* with the designated coevaluation of E, and
@@ -31,10 +38,10 @@ C_E = (C_x (x) C_rest) . swap(rest, x) and P_E = swap(x, rest) .
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from math import gcd
 from typing import Iterator, Mapping, Optional
 
-from .exactlin import Matrix, ShapeError, kron, matmul, swap_matrix
+from .exactlin import Matrix, ShapeError, kron, matmul, padded_matmul, swap_matrix
 from .terms import (
     Compose,
     Gen,
@@ -56,8 +63,10 @@ __all__ = [
     "RelationCheck",
     "RelationReport",
     "bend_state",
+    "bend_value",
     "check_relations",
     "eval_term",
+    "eval_typed_term",
     "naturality_failures",
     "reconstruct_map",
     "relation_values",
@@ -116,24 +125,65 @@ def eval_term(t: Term, interp: Interpretation) -> Matrix:
     return _eval(t, interp)
 
 
+def eval_typed_term(t: Term, interp: Interpretation) -> Matrix:
+    """``eval_term`` for a term already typechecked against ``interp.sig``
+    (by ``parse_typed_term``, say), which is not typechecked again."""
+    return _eval(t, interp)
+
+
+# A value is a matrix, or legs ``(l, a, r)`` standing for I_l (x) a (x) I_r
+# with l or r above 1.  An identity is ``(n, _ONE, 1)``, or ``_ONE`` itself.
+_ONE = Matrix.scalar(1)
+
+
 def _eval(t: Term, interp: Interpretation) -> Matrix:
-    """Evaluate a well-typed term by one ``fold``."""
-    return fold(t, _value_leaf, _value_combine, interp)
+    """Evaluate a well-typed term by one ``fold`` and build its value."""
+    value = fold(t, _value_leaf, _value_combine, interp)
+    if type(value) is Matrix:
+        return value
+    la, a, ra = value
+    # the padded a, as the identity on its rows times the legs
+    return padded_matmul(la * a.rows * ra, _ONE, 1, la, a, ra)
 
 
-def _value_leaf(t: Term, interp: Interpretation) -> Matrix:
+def _value_leaf(t: Term, interp: Interpretation):
     kind = type(t)
     if kind is Gen:
         return interp.gen_matrix[t.name]
     if kind is Id:
-        return Matrix.identity(interp.dim(t.word))
+        return interp.dim(t.word), _ONE, 1
     if kind is Swap:
         return swap_matrix(interp.dim(t.left), interp.dim(t.right))
     raise TypeError(f"not a term: {t!r}")
 
 
-def _value_combine(t: Term, first: Matrix, second: Matrix, interp: Interpretation) -> Matrix:
-    return matmul(second, first) if type(t) is Compose else kron(first, second)
+def _value_combine(t: Term, first, second, interp: Interpretation):
+    compose = type(t) is Compose
+    if type(first) is Matrix and type(second) is Matrix:
+        return matmul(second, first) if compose else kron(first, second)
+    l1, a, r1 = (1, first, 1) if type(first) is Matrix else first
+    l2, b, r2 = (1, second, 1) if type(second) is Matrix else second
+    if compose:
+        # eval(then) . eval(first); identity legs common to both stay legs
+        if b is _ONE:
+            return first
+        if a is _ONE:
+            return second
+        lg, rg = gcd(l1, l2), gcd(r1, r2)
+        return _legs(lg, padded_matmul(l2 // lg, b, r2 // rg, l1 // lg, a, r1 // rg), rg)
+    if b is _ONE:
+        return _legs(l1, a, r1 * l2 * r2)
+    if a is _ONE:
+        return _legs(l1 * r1 * l2, b, r2)
+    # two non-identity factors: I_l1 (x) (a (x) I_k (x) b) (x) I_r2
+    k = r1 * l2
+    if k != 1:
+        a = padded_matmul(a.rows * k, _ONE, 1, 1, a, k)
+    return _legs(l1, kron(a, b), r2)
+
+
+def _legs(l: int, m: Matrix, r: int):
+    return m if l == r == 1 else (l, m, r)
 
 
 @dataclass(frozen=True)
@@ -209,22 +259,30 @@ def naturality_failures(
     """Generators ``g: w -> v`` of the signature the two interpretations
     share, in its order, where ``psi_v . source(g) != target(g) . psi_w``.
 
-    ``psi`` of a word is the Kronecker product of its labels' components,
-    built once per word; the empty word adds no factor.  A mis-shaped
-    component raises ShapeError naming its label.
+    ``psi`` of a word is the tensor product of its labels' components,
+    applied one leg at a time and never built; the empty word is the
+    identity.  A mis-shaped component raises ShapeError naming its label.
     """
     for label in source.sig.g0:
         m, want = components[label], (target.obj_dim[label], source.obj_dim[label])
         if m.shape != want:
             raise ShapeError(f"component {label!r}: expected {want[0]}x{want[1]}, got {m.rows}x{m.cols}")
-    psi: dict[ObjectWord, Matrix] = {}
     failures = []
     for name, (src, tgt) in source.sig.g1.items():
-        for word in (src, tgt):
-            if word and word not in psi:
-                psi[word] = reduce(kron, [components[label] for label in word])
-        left = matmul(psi[tgt], source.gen_matrix[name]) if tgt else source.gen_matrix[name]
-        right = matmul(target.gen_matrix[name], psi[src]) if src else target.gen_matrix[name]
+        left = source.gen_matrix[name]
+        right = target.gen_matrix[name]
+        # psi_v . m turns m's row legs from source to target dims, one
+        # label at a time; m . psi_w turns its column legs back
+        done, rest = 1, source.dim(tgt)
+        for label in tgt:
+            rest //= source.obj_dim[label]
+            left = padded_matmul(done, components[label], rest, 1, left, 1)
+            done *= target.obj_dim[label]
+        done, rest = 1, target.dim(src)
+        for label in src:
+            rest //= target.obj_dim[label]
+            right = padded_matmul(1, right, 1, done, components[label], rest)
+            done *= source.obj_dim[label]
         if left != right:
             failures.append(name)
     return failures
@@ -249,16 +307,21 @@ def _word_duality(word: ObjectWord, interp: Interpretation, pairing: bool) -> Ma
 def bend_state(t: Term, interp: Interpretation) -> Matrix:
     """State () -> target . reverse(source) obtained by bending the source.
 
-    For ``t: E -> F`` this is ``coev_E ; (t * id)``, a column of length
-    dim(F) * dim(E), computed as the reshaped product ``eval(t) . C_E``;
-    only ``t`` is evaluated.  A term with empty source is already a state
-    and is returned as its own evaluation.
+    For ``t: E -> F`` this is ``coev_E ; (t * id)``: ``bend_value`` of
+    ``t``'s evaluation.  A term with empty source is already a state and
+    is returned as its own evaluation.
     """
     src, _ = typecheck(t, interp.sig)
-    m = _eval(t, interp)
-    if not src:
+    return bend_value(_eval(t, interp), src, interp)
+
+
+def bend_value(m: Matrix, source: ObjectWord, interp: Interpretation) -> Matrix:
+    """``bend_state`` of a map ``m`` out of ``source`` that is already
+    evaluated: a column of length m.rows * m.cols, computed as the
+    reshaped product ``m . C_source``."""
+    if not source:
         return m
-    return matmul(m, _word_duality(src, interp, False)).reshape(m.rows * m.cols, 1)
+    return matmul(m, _word_duality(source, interp, False)).reshape(m.rows * m.cols, 1)
 
 
 def reconstruct_map(

@@ -16,10 +16,16 @@ result; no kernel builds a ``Fraction`` per entry.  Their costs, with
 * ``Matrix(rows, cols, entries)`` reads every given entry once and keeps
   the nonzeros; ``identity``, ``zeros`` and ``swap_matrix`` cost one
   step per row.
-* ``matmul(a, b)`` costs the nonzero products ``a[i, t] * b[t, j]``
-  plus, for each row of ``a`` with two or more nonzeros, one integer
-  accumulator of ``b.cols`` entries; a row of ``a`` with one nonzero
-  (identity padding, swaps) scales a row of ``b`` and needs none.
+* ``padded_matmul(la, a, ra, lb, b, rb)``, the product
+  ``(I_la (x) a (x) I_ra) . (I_lb (x) b (x) I_rb)``, is the one product
+  kernel; ``matmul(a, b)`` is its case with no padding.  The padding is
+  an index map per row, so no padded factor is built.  It costs the
+  nonzero products plus one step per row of either padded factor.  A
+  result row with one term (identity padding, swaps) copies, shifts or
+  scales a row of ``b``.  A longer one accumulates in an integer row of
+  the result's width, or in a dict when its terms times the longest row
+  of ``b`` stay under one ``_SPARSE``-th of that width, so a wide,
+  sparse row costs its terms and not its width.
 * ``kron(a, b)`` costs ``nnz(a) * nnz(b)`` plus one step per result row.
 * ``transpose``, ``reshape``, ``scale`` and ``differences`` cost ``nnz``
   plus one step per row.
@@ -42,6 +48,7 @@ is one; matrices serialize as JSON lists of rows of such strings.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
@@ -49,6 +56,10 @@ from typing import Iterable, Iterator, Sequence, Union
 
 # The kernels are pure Python; the name is kept for reports that record it.
 BACKEND = "python"
+
+# a product row whose terms can touch under one _SPARSE-th of the result's
+# columns accumulates in a dict, any other in a dense integer row
+_SPARSE = 8
 
 Scalar = Fraction
 ScalarLike = Union[Fraction, int, str]
@@ -64,6 +75,7 @@ __all__ = [
     "matmul",
     "matrix_from_json",
     "matrix_to_json",
+    "padded_matmul",
     "rank",
     "scalar_from_str",
     "scalar_to_str",
@@ -127,23 +139,27 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     def _set(self, rows: int, cols: int, nz: tuple, den: int) -> None:
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "nz", nz)
-        object.__setattr__(self, "den", den)
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_nz(self, nz)
+        _set_den(self, den)
 
     @classmethod
     def _new(cls, rows: int, cols: int, nz: tuple, den: int = 1) -> "Matrix":
         """The matrix with these fields, which must already be canonical."""
-        m = cls.__new__(cls)
-        m._set(rows, cols, nz, den)
+        m = object.__new__(cls)
+        _set_rows(m, rows)
+        _set_cols(m, cols)
+        _set_nz(m, nz)
+        _set_den(m, den)
         return m
 
     @classmethod
     def _raw(cls, rows: int, cols: int, nz, den: int = 1) -> "Matrix":
         """The matrix ``nz / den`` brought to lowest terms.  ``nz`` is one
         sequence per row of sorted, zero-free ``(column, numerator)``
-        pairs; ``den`` is any nonzero integer."""
+        pairs; ``den`` is any nonzero integer.  A tuple of tuple rows is
+        kept as it is unless the sign or a common factor changes it."""
         if den != 1:
             if den < 0:
                 den = -den
@@ -152,7 +168,9 @@ class Matrix:
             if g != 1:
                 den //= g
                 nz = [[(j, v // g) for j, v in row] for row in nz]
-        return cls._new(rows, cols, tuple(map(tuple, nz)), den)
+        if type(nz) is not tuple:
+            nz = tuple(map(tuple, nz))
+        return cls._new(rows, cols, nz, den)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[ScalarLike]]) -> "Matrix":
@@ -298,35 +316,83 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: [{body}])"
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product; raises ShapeError naming both shapes on mismatch.
+# the slots' own setters, which the blocked __setattr__ leaves usable
+_set_rows, _set_cols, _set_nz, _set_den = (Matrix.__dict__[name].__set__ for name in Matrix.__slots__)
 
-    A row of ``a`` with one nonzero ``x`` at column t gives ``x`` times
-    row t of ``b``.  Any other row adds each of its nonzeros times the
-    matching row of ``b`` into a dense integer row, which keeps the
-    entries that did not cancel.
+
+def padded_matmul(la: int, a: Matrix, ra: int, lb: int, b: Matrix, rb: int) -> Matrix:
+    """The product ``(I_la (x) a (x) I_ra) . (I_lb (x) b (x) I_rb)``, with
+    neither padded factor built; raises ShapeError naming both padded
+    shapes on mismatch.
+
+    Padding is an index map per row.  Row ``(x, i, y)`` of the padded
+    ``a`` is row i of ``a`` with column t read as row ``(x, t, y)`` of the
+    padded ``b``, and that row is row t of ``b`` with column j written at
+    ``(x, j, y)``.  A result row with one term copies, shifts or scales
+    that row of the padded ``b``.  A longer one adds its terms into an
+    integer row of the result's width, or into a dict when its terms
+    times the longest row of ``b`` touch under one ``_SPARSE``-th of that
+    width, so a wide result row costs its terms and not its width.
     """
-    if a.cols != b.rows:
-        raise ShapeError(
-            f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}"
-        )
-    m = b.cols
-    cols = range(m)
-    bnz = b.nz
-    out = []
-    for arow in a.nz:
-        if len(arow) > 1:
-            acc = [0] * m
-            for t, x in arow:
-                for j, y in bnz[t]:
-                    acc[j] += x * y
-            out.append(tuple(zip(compress(cols, acc), compress(acc, acc))))
-        elif arow:
-            t, x = arow[0]
-            out.append(bnz[t] if x == 1 else tuple([(j, x * y) for j, y in bnz[t]]))
+    # plan: the rows of the padded a, each a row of a read at stride ra with
+    # the first row of the padded b it reads
+    if la == ra == 1:
+        rows, inner = a.rows, a.cols
+        plan = zip(a.nz, bytes(rows))
+    else:
+        rows, inner = la * a.rows * ra, la * a.cols * ra
+        arows = a.nz if ra == 1 else [[(t * ra, v) for t, v in row] for row in a.nz]
+        plan = [(row, x * a.cols * ra + y) for x in range(la) for row in arows for y in range(ra)]
+    # row T of the padded b: row bnz[T] of b, written at stride rb, plus boff[T]
+    if lb == rb == 1:
+        width = b.cols
+        bnz, boff = b.nz, bytes(b.rows)
+    else:
+        width = lb * b.cols * rb
+        if rb == 1:
+            bnz = b.nz * lb
         else:
+            scaled = [tuple([(j * rb, w) for j, w in row]) for row in b.nz]
+            bnz = [row for row in scaled for _ in range(rb)] * lb
+        boff = [x * b.cols * rb + y for x in range(lb) for _ in range(b.rows) for y in range(rb)]
+    if inner != len(bnz):
+        raise ShapeError(f"cannot multiply {rows}x{inner} by {len(bnz)}x{width}")
+    longest = None  # the longest row of b, read when a row might be sparse
+    out = []
+    for arow, base in plan:
+        if len(arow) == 1:
+            t, v = arow[0]
+            t += base
+            row, off = bnz[t], boff[t]
+            if off:
+                row = tuple([(j + off, w) for j, w in row])
+            out.append(row if v == 1 else tuple([(j, v * w) for j, w in row]))
+            continue
+        if not arow:
             out.append(())
-    return Matrix._raw(a.rows, m, out, a.den * b.den)
+            continue
+        wide = width > _SPARSE * len(arow)
+        if wide and longest is None:
+            longest = max(map(len, b.nz))
+        acc = defaultdict(int) if wide and _SPARSE * len(arow) * longest < width else [0] * width
+        for t, v in arow:
+            t += base
+            off = boff[t]
+            for j, w in bnz[t]:
+                acc[j + off] += v * w
+        if type(acc) is list:
+            out.append(tuple(zip(compress(range(width), acc), compress(acc, acc))))
+        else:
+            out.append(tuple(sorted([(j, s) for j, s in acc.items() if s])))
+    den = a.den * b.den
+    if den == 1:
+        return Matrix._new(rows, width, tuple(out))
+    return Matrix._raw(rows, width, tuple(out), den)
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """Matrix product: ``padded_matmul`` with no padding."""
+    return padded_matmul(1, a, 1, 1, b, 1)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -340,7 +406,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
         shifted = [(ja * cb, x) for ja, x in arow]
         for brow in bnz:
             out.append(tuple([(o + jb, x * y) for o, x in shifted for jb, y in brow]) if brow else ())
-    return Matrix._raw(a.rows * b.rows, a.cols * cb, out, a.den * b.den)
+    return Matrix._raw(a.rows * b.rows, a.cols * cb, tuple(out), a.den * b.den)
 
 
 def swap_matrix(d1: int, d2: int) -> Matrix:

@@ -50,10 +50,10 @@ from .exactlin import (
     ShapeError,
     integer_from_json,
     inverse,
-    kron,
     matmul,
     matrix_from_json,
     matrix_to_json,
+    padded_matmul,
     rank,
     scalar_from_str,
     scalar_to_str,
@@ -309,8 +309,7 @@ def _complete(dim: int, mu: Matrix, eta: Matrix, pairing: BilinearPairing, basis
     # eps(a) = <a, unit>
     eps = matmul(gram, eta).transpose()
     # delta(a) = (mu (x) id)(a (x) c) with c the flattened inverse Gram matrix
-    eye = Matrix.identity(dim)
-    delta = matmul(kron(mu, eye), kron(eye, copairing.reshape(dim * dim, 1)))
+    delta = padded_matmul(1, mu, dim, dim, copairing.reshape(dim * dim, 1), 1)
     return FrobeniusAlgebra(
         dim, mu, eta, delta, eps,
         tuple(basis_names) if basis_names is not None else None,

@@ -59,6 +59,7 @@ __all__ = [
     "UnknownObject",
     "fold",
     "parse_term",
+    "parse_typed_term",
     "render_term",
     "render_word",
     "signature_from_json",
@@ -469,9 +470,13 @@ def _describe(tok) -> str:
 
 def parse_term(text: str, sig: Signature) -> Term:
     """Parse a DSL term and type-check it against the signature."""
+    return parse_typed_term(text, sig)[0]
+
+
+def parse_typed_term(text: str, sig: Signature) -> tuple[Term, ObjectWord, ObjectWord]:
+    """``parse_term`` that also returns the term's source and target."""
     t = _Parser(text).parse()
-    typecheck(t, sig)
-    return t
+    return (t, *typecheck(t, sig))
 
 
 # --- rendering -------------------------------------------------------------

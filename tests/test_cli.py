@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
-from tqftkit import cli
+from tqftkit import cli, evaluate, terms
 from tqftkit.cli import run
+from tqftkit.frobenius import bord2_signature
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -384,6 +385,52 @@ class TestOneProcess:
         for argv, code, out in runs:
             assert capout(*argv)[:2] == (code, out), argv
         assert cli._parser() is cli._parser()
+
+
+class TestLastResort:
+    @pytest.fixture
+    def fresh_parser(self):
+        # the cached parser holds the subcommand functions it was built with
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    @pytest.mark.parametrize("error, line", [
+        (MemoryError, "error: out of memory; the input is too large to evaluate\n"),
+        (RecursionError, "error: the input is nested too deeply to process\n"),
+    ])
+    def test_exhaustion_is_one_line_and_exit_two(self, capout, monkeypatch, fresh_parser, error, line):
+        def exhausted(args):
+            raise error()
+
+        monkeypatch.setattr(cli, "_cmd_invariant", exhausted)
+        code, out, err = capout("invariant", "--algebra", "z2", "--genus", "2")
+        assert (code, out, err) == (2, "", line)
+
+
+class TestWorkDoneOnce:
+    def test_recon_typechecks_and_evaluates_its_term_once(self, capout, monkeypatch):
+        text = "pants ; copants ; id[S1] * cup ; copants"
+        term = terms.parse_term(text, bord2_signature())
+        typechecked, evaluated = [], []
+        real_typecheck, real_eval = terms.typecheck, evaluate._eval
+
+        def counting_typecheck(t, sig):
+            typechecked.append(t)
+            return real_typecheck(t, sig)
+
+        def counting_eval(t, interp):
+            evaluated.append(t)
+            return real_eval(t, interp)
+
+        for module in (terms, evaluate):
+            monkeypatch.setattr(module, "typecheck", counting_typecheck)
+        monkeypatch.setattr(evaluate, "_eval", counting_eval)
+        code, out, _ = capout("recon", "--algebra", "milnor:4", "--term", text)
+        assert code == 0 and "agree: true" in out
+        # building the algebra evaluates its relation sides and dualities
+        assert [t for t in typechecked if t == term] == [term]
+        assert [t for t in evaluated if t == term] == [term]
 
 
 class TestDeterminism:

@@ -13,7 +13,10 @@ with the nested duality terms ``coev_term`` and ``pairing_term`` they
 evaluated before a word's duality was assembled from the per-label
 matrices.  Gaussian elimination is the oracle for the
 duality-sandwich inverses.  Dense lists of ``Fraction`` rows are the
-oracle for the sparse matrix kernels and for the evaluator.  The index
+oracle for the sparse matrix kernels and for the evaluator; dense
+Kronecker products of identities are the oracle for ``padded_matmul``,
+and the evaluator that built every identity and tensor as a matrix at
+its node is the oracle for leg-wise evaluation.  The index
 loops that ``validate_fusion_ring`` and ``grothendieck_frobenius`` ran
 before the ring laws were read off the circle relations are the oracle
 for the fusion-ring reports and commutativity witnesses.
@@ -22,6 +25,7 @@ for the fusion-ring reports and commutativity witnesses.
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -32,7 +36,7 @@ from hypothesis import strategies as st
 from conftest import eleven_algebras, enumerate_terms, random_term
 from test_exactlin import reference_inverse, reference_kron, reference_reduce
 from test_frobenius import invalid_morphisms, valid_morphisms
-from tqftkit import dualpairs, evaluate, frobenius, terms
+from tqftkit import dualpairs, evaluate, exactlin, frobenius, terms
 from tqftkit.algebras import (
     cyclic_group,
     direct_product,
@@ -58,6 +62,7 @@ from tqftkit.exactlin import (
     kron,
     matmul,
     matrix_to_json,
+    padded_matmul,
     rank,
     swap_matrix,
 )
@@ -86,7 +91,7 @@ from tqftkit.fusion import (
     vec_z,
 )
 from tqftkit.surfaces import bord2_signature, frobenius_interpretation
-from tqftkit.terms import Compose, Gen, Id, Signature, Swap, Tensor, typecheck
+from tqftkit.terms import Compose, Gen, Id, Signature, Swap, Tensor, parse_term, render_term, typecheck
 
 
 # --- references ------------------------------------------------------------
@@ -829,6 +834,62 @@ def test_products_match_dense():
     assert matmul(Matrix.row([1, 1]), Matrix.column([1, -1])).nz == ((),)
 
 
+def test_wide_sparse_products_match_dense():
+    # few nonzeros against a wide b: these rows accumulate in a dict
+    rng = random.Random(71)
+    for _ in range(60):
+        n, k, m = rng.randint(1, 4), rng.randint(2, 5), rng.randint(100, 400)
+        a = mixed_density(rng, n, k)
+        b = [[Fraction(0)] * m for _ in range(k)]
+        for row in b:
+            for _ in range(rng.randint(0, 3)):
+                row[rng.randrange(m)] = Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2, 3)))
+        assert_matches(matmul(sparse(a, k), sparse(b, m)), dense_mul(a, b, m), (n, m))
+
+
+def padded_dense(a, la, ra, cols):
+    """I_la (x) a (x) I_ra as dense rows."""
+    left = reference_kron(dense_identity(la), a, la, cols)
+    return reference_kron(left, dense_identity(ra), la * cols, ra)
+
+
+def test_padded_products_match_dense_kronecker_products():
+    rng = random.Random(73)
+    cases = 0
+    while cases < 200:
+        la, ra, lb, rb = (rng.choice((1, 1, 2, 3)) for _ in range(4))
+        n, k = rng.randint(0, 4), rng.randint(1, 4)
+        inner = la * k * ra
+        if inner % (lb * rb):
+            continue
+        kb, m = inner // (lb * rb), rng.randint(0, 4)
+        a, b = mixed_density(rng, n, k), mixed_density(rng, kb, m)
+        want = dense_mul(padded_dense(a, la, ra, k), padded_dense(b, lb, rb, m), lb * m * rb)
+        got = padded_matmul(la, sparse(a, k), ra, lb, sparse(b, m), rb)
+        assert_matches(got, want, (la * n * ra, lb * m * rb))
+        cases += 1
+    with pytest.raises(ShapeError, match="cannot multiply 4x6 by 4x2"):
+        padded_matmul(2, Matrix.zeros(2, 3), 1, 2, Matrix.zeros(2, 1), 1)
+
+
+def test_wide_product_allocates_its_nonzeros_not_its_width():
+    # 2 x 10^7 with five nonzeros: a dense row of the product's width
+    # would take 80 MB
+    u = Matrix.row([0] * 9999 + [5])
+    v = Matrix.row([1] + [0] * 998 + [-2])
+    b = kron(Matrix.column([1, 3]), kron(u, v))
+    a = Matrix.from_rows([[1, 1], [2, -1], [3, -1]])
+    tracemalloc.start()
+    try:
+        c = matmul(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert c.shape == (3, 10 ** 7)
+    assert c.nz == (((9_999_000, 20), (9_999_999, -40)), ((9_999_000, -5), (9_999_999, 10)), ())
+
+
 def test_kron_matches_dense():
     rng = random.Random(47)
     shapes = [(0, 3, 2, 2), (3, 0, 2, 2), (2, 2, 0, 3), (2, 2, 3, 0), (0, 0, 0, 0)]
@@ -909,17 +970,17 @@ def dense_eval(t, interp):
     )
 
 
-def sparse_noise_interpretation():
-    """Random rational generator matrices at dimension 2, about half of
-    their entries zero, so the designated duality terms are not
+def sparse_noise_interpretation(dim=2, seed=67):
+    """Random rational generator matrices at dimension ``dim``, about half
+    of their entries zero, so the designated duality terms are not
     symmetric and rows of every density occur."""
-    rng = random.Random(67)
+    rng = random.Random(seed)
     sig = bord2_signature()
     noise = {}
     for name, (src, tgt) in sig.g1.items():
-        r, c = 2 ** len(tgt), 2 ** len(src)
+        r, c = dim ** len(tgt), dim ** len(src)
         noise[name] = Matrix(r, c, [x for row in mixed_density(rng, r, c) for x in row])
-    return Interpretation(sig, {"S1": 2}, noise)
+    return Interpretation(sig, {"S1": dim}, noise)
 
 
 EVAL_INTERPRETATIONS = {
@@ -938,6 +999,100 @@ def test_eval_term_matches_dense_evaluator(name, rng, depth):
     src, tgt = typecheck(t, interp.sig)
     assume(interp.dim(src) * interp.dim(tgt) <= 6561)
     assert eval_term(t, interp).to_lists() == dense_eval(t, interp)
+
+
+# --- leg-wise evaluation against the per-node evaluator ---------------------
+
+
+def _reference_leaf(t, interp):
+    if isinstance(t, Gen):
+        return interp.gen_matrix[t.name]
+    if isinstance(t, Id):
+        return Matrix.identity(interp.dim(t.word))
+    return swap_matrix(interp.dim(t.left), interp.dim(t.right))
+
+
+def _reference_combine(t, first, second, interp):
+    return matmul(second, first) if isinstance(t, Compose) else kron(first, second)
+
+
+def reference_eval(t, interp):
+    """The evaluator before identity legs became index maps: every node's
+    value built as a matrix, identities by ``Matrix.identity`` and tensors
+    by ``kron``."""
+    return terms.fold(t, _reference_leaf, _reference_combine, interp)
+
+
+LEG_INTERPRETATIONS = {
+    "z3": frobenius_interpretation(group_algebra(cyclic_group(3))),
+    "milnor:4": frobenius_interpretation(milnor_ring(4)),
+    "noise3": sparse_noise_interpretation(3, 79),
+}
+
+
+def padded_shapes(sig):
+    """``id[u] * g * id[w]`` for every generator and the swap, u and w of
+    length 0 to 2, with the empty identities kept as factors."""
+    words = [(), ("S1",), ("S1", "S1")]
+    cores = [Gen(name) for name in sig.g1] + [Swap(("S1",), ("S1",))]
+    return [Tensor(Tensor(Id(u), g), Id(w)) for g in cores for u in words for w in words]
+
+
+def padded_cases(sig):
+    """Each padded shape alone, composed on both sides with each generator
+    it types with, and composed with each padded shape it types with,
+    up to four circles between the two."""
+    shapes = [(t, *typecheck(t, sig)) for t in padded_shapes(sig)]
+    gens = [(Gen(name), src, tgt) for name, (src, tgt) in sig.g1.items()]
+    cases = [t for t, _, _ in shapes]
+    for t, src, tgt in shapes:
+        cases += [Compose(t, g) for g, gsrc, _ in gens if gsrc == tgt]
+        cases += [Compose(g, t) for g, _, gtgt in gens if gtgt == src]
+        cases += [Compose(t, u) for u, usrc, _ in shapes if usrc == tgt and len(tgt) <= 4]
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(LEG_INTERPRETATIONS))
+def test_legwise_eval_matches_per_node_eval_on_padded_shapes(name):
+    interp = LEG_INTERPRETATIONS[name]
+    cases = padded_cases(interp.sig)
+    assert len(cases) == 444
+    for t in cases:
+        assert evaluate._eval(t, interp) == reference_eval(t, interp), render_term(t)
+
+
+def test_legwise_eval_matches_per_node_eval_on_relation_sides():
+    for interp in [*LEG_INTERPRETATIONS.values(), EVAL_INTERPRETATIONS["noise"]]:
+        for side in interp.sig.sides:
+            assert evaluate._eval(side, interp) == reference_eval(side, interp), render_term(side)
+
+
+def test_relation_sides_build_no_padded_identity(monkeypatch):
+    # every tensor in bord2's relation sides has an identity factor, so
+    # no side needs a Kronecker product or an identity matrix
+    calls = []
+    real_kron, real_identity = exactlin.kron, Matrix.__dict__["identity"]
+
+    def counted_kron(a, b):
+        calls.append("kron")
+        return real_kron(a, b)
+
+    def counted_identity(cls, n):
+        calls.append("identity")
+        return real_identity.__func__(cls, n)
+
+    interps = [*LEG_INTERPRETATIONS.values(), EVAL_INTERPRETATIONS["milnor:3"]]
+    for module in (exactlin, evaluate):
+        monkeypatch.setattr(module, "kron", counted_kron)
+    monkeypatch.setattr(Matrix, "identity", classmethod(counted_identity))
+    reports = [check_relations(interp) for interp in interps]
+    assert calls == []
+    assert all(report.ok for report in reports[:2])
+    # the counters do count: a bare tensor of two generators and a bare
+    # identity are built at the root
+    evaluate._eval(parse_term("pants * pants", bord2_signature()), interps[0])
+    Matrix.identity(2)
+    assert calls == ["kron", "identity"]
 
 
 # --- fusion-ring laws against the index loops ------------------------------
