@@ -118,15 +118,10 @@ def symmetric_group(n: int) -> FiniteGroupTable:
 def group_algebra(table: FiniteGroupTable) -> FrobeniusAlgebra:
     """The group algebra with pairing <g, h> = [h == g^-1]."""
     n = table.order
-    mu_rows = [[0] * (n * n) for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            mu_rows[table.mult[i][j]][i * n + j] = 1
-    mu = Matrix.from_rows(mu_rows)
-    eta = Matrix(n, 1, [1 if i == table.identity else 0 for i in range(n)])
-    gram = Matrix.from_rows(
-        [[1 if j == table.inverse[i] else 0 for j in range(n)] for i in range(n)]
-    )
+    products = {(m, i * n + j): 1 for i, row in enumerate(table.mult) for j, m in enumerate(row)}
+    mu = Matrix.from_entries(n, n * n, products)
+    eta = Matrix.from_entries(n, 1, {(table.identity, 0): 1})
+    gram = Matrix.from_entries(n, n, {(i, g): 1 for i, g in enumerate(table.inverse)})
     return from_economy(n, mu, eta, BilinearPairing(n, gram), table.names)
 
 
@@ -146,14 +141,9 @@ def matrix_center_algebra(block_sizes: list[int]) -> FrobeniusAlgebra:
     if any(n < 1 for n in block_sizes):
         raise ValueError("block sizes must be positive")
     k = len(block_sizes)
-    mu_rows = [[0] * (k * k) for _ in range(k)]
-    for i in range(k):
-        mu_rows[i][i * k + i] = 1
-    mu = Matrix.from_rows(mu_rows)
-    eta = Matrix(k, 1, [1] * k)
-    gram = Matrix.from_rows(
-        [[block_sizes[i] if i == j else 0 for j in range(k)] for i in range(k)]
-    )
+    mu = Matrix.from_entries(k, k * k, {(i, i * k + i): 1 for i in range(k)})
+    eta = Matrix.from_entries(k, 1, {(i, 0): 1 for i in range(k)})
+    gram = Matrix.from_entries(k, k, {(i, i): size for i, size in enumerate(block_sizes)})
     names = tuple(f"e{i}" for i in range(k))
     return from_economy(k, mu, eta, BilinearPairing(k, gram), names)
 
@@ -168,19 +158,9 @@ def milnor_ring(d: int) -> FrobeniusAlgebra:
     if d < 2:
         raise ValueError("degree must be at least 2")
     n = d - 1
-    mu_rows = [[0] * (n * n) for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            if a + b < n:
-                mu_rows[a + b][a * n + b] = 1
-    mu = Matrix.from_rows(mu_rows)
-    eta = Matrix(n, 1, [1] + [0] * (n - 1))
-    gram = Matrix.from_rows(
-        [
-            [Fraction(1, d) if a + b == d - 2 else Fraction(0) for b in range(n)]
-            for a in range(n)
-        ]
-    )
+    mu = Matrix.from_entries(n, n * n, {(a + b, a * n + b): 1 for a in range(n) for b in range(n - a)})
+    eta = Matrix.from_entries(n, 1, {(0, 0): 1})
+    gram = Matrix.from_entries(n, n, {(a, n - 1 - a): Fraction(1, d) for a in range(n)})
     names = tuple("1" if a == 0 else ("x" if a == 1 else f"x{a}") for a in range(n))
     return from_economy(n, mu, eta, BilinearPairing(n, gram), names)
 
@@ -194,18 +174,23 @@ def upper_triangular_algebra() -> tuple[int, Matrix, Matrix]:
     # products of matrix units: E_{ab} E_{cd} = [b == c] E_{ad}
     basis = [(0, 0), (0, 1), (1, 1)]
     index = {u: i for i, u in enumerate(basis)}
-    n = 3
-    mu_rows = [[0] * (n * n) for _ in range(n)]
-    for i, (a, b) in enumerate(basis):
-        for j, (c, d) in enumerate(basis):
-            if b == c and (a, d) in index:
-                mu_rows[index[(a, d)]][i * n + j] = 1
-    mu = Matrix.from_rows(mu_rows)
-    eta = Matrix(n, 1, [1, 0, 1])  # E11 + E22
-    return n, mu, eta
+    mu = Matrix.from_entries(3, 9, {
+        (index[(a, d)], 3 * i + j): 1
+        for i, (a, b) in enumerate(basis) for j, (c, d) in enumerate(basis) if b == c
+    })
+    eta = Matrix.from_entries(3, 1, {(0, 0): 1, (2, 0): 1})  # E11 + E22
+    return 3, mu, eta
 
 
 # --- CLI registry ----------------------------------------------------------
+
+
+def _spec_integer(text: str, what: str) -> int:
+    """One integer item of a built-in spec; an empty item is malformed."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what} must be an integer, got {text.strip()!r}") from None
 
 
 def builtin_algebra(name: str) -> FrobeniusAlgebra:
@@ -218,13 +203,12 @@ def builtin_algebra(name: str) -> FrobeniusAlgebra:
     if name == "s3":
         return group_algebra(symmetric_group(3))
     if name.startswith("milnor:"):
-        return milnor_ring(int(name.split(":", 1)[1]))
+        return milnor_ring(_spec_integer(name.split(":", 1)[1], "degree"))
     if name.startswith("center:"):
         spec = name.split(":", 1)[1].strip()
         if not (spec.startswith("[") and spec.endswith("]")):
             raise ValueError(f"center spec must look like center:[1,2], got {name!r}")
-        sizes = [int(s) for s in spec[1:-1].split(",") if s.strip()]
-        return matrix_center_algebra(sizes)
+        return matrix_center_algebra([_spec_integer(s, "block size") for s in spec[1:-1].split(",")])
     if name == "triangular":
         raise ValueError(
             "the upper-triangular algebra admits no Frobenius form; "

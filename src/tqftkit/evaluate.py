@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterator, Mapping, Optional
 
-from .exactlin import Matrix, ShapeError, kron, matmul, padded_matmul, swap_matrix
+from .exactlin import Matrix, ShapeError, kron, matmul, padded_matmul, scalar_to_str, swap_matrix
 from .terms import (
     Compose,
     Gen,
@@ -248,7 +248,7 @@ def check_relations(interp: Interpretation) -> RelationReport:
         differs = lhs.first_difference(rhs)
         if differs is not None:
             i, j = divmod(differs, lhs.cols)
-            mismatch = (i, j, str(lhs.entry(i, j)), str(rhs.entry(i, j)))
+            mismatch = (i, j, scalar_to_str(lhs.entry(i, j)), scalar_to_str(rhs.entry(i, j)))
         checks.append(RelationCheck(rel, mismatch is None, mismatch))
     return RelationReport(tuple(checks))
 

@@ -13,9 +13,13 @@ The kernels below work on the integers directly and normalise once per
 result; no kernel builds a ``Fraction`` per entry.  Their costs, with
 ``nnz`` the number of nonzeros:
 
-* ``Matrix(rows, cols, entries)`` reads every given entry once and keeps
-  the nonzeros; ``identity``, ``zeros`` and ``swap_matrix`` cost one
-  step per row.
+* ``Matrix.from_entries(rows, cols, {(i, j): x})``, the one constructor
+  that brings scalars to the canonical form, costs one step per given
+  entry and per row, so a matrix built from its nonzeros never pays for
+  its zeros.  ``Matrix(rows, cols, entries)``, its dense adapter behind
+  ``from_rows``, ``column``, ``row`` and ``scalar``, reads all
+  ``rows * cols`` entries.  ``identity``, ``zeros`` and ``swap_matrix``
+  cost one step per row.
 * ``padded_matmul(la, a, ra, lb, b, rb)``, the product
   ``(I_la (x) a (x) I_ra) . (I_lb (x) b (x) I_rb)``, is the one product
   kernel; ``matmul(a, b)`` is its case with no padding.  The padding is
@@ -47,12 +51,13 @@ is one; matrices serialize as JSON lists of rows of such strings.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from collections import defaultdict
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, product
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 # The kernels are pure Python; the name is kept for reports that record it.
 BACKEND = "python"
@@ -105,44 +110,51 @@ class Matrix:
 
     __slots__ = ("rows", "cols", "nz", "den")
 
-    def __init__(self, rows: int, cols: int, entries: Iterable[ScalarLike]):
+    def __new__(cls, rows: int, cols: int, entries: Iterable[ScalarLike]) -> "Matrix":
+        """The matrix of ``rows * cols`` entries given in row-major order:
+        the dense adapter over ``from_entries``."""
+        if not isinstance(entries, (list, tuple)):
+            entries = list(entries)
+        if len(entries) != rows * cols and rows >= 0 and cols >= 0:
+            raise ShapeError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
+        # exact zeros are left out here, so a mostly zero list costs memory
+        # for its nonzeros only
+        positions = product(range(rows), range(cols))
+        return cls.from_entries(rows, cols, {
+            ij: x for ij, x in zip(positions, entries) if x or not isinstance(x, (int, Fraction))
+        })
+
+    @classmethod
+    def from_entries(cls, rows: int, cols: int, entries: Mapping[tuple[int, int], ScalarLike]) -> "Matrix":
+        """The rows-by-cols matrix with ``entries[i, j]`` at ``(i, j)`` and
+        zero wherever no entry is given; given zeros are dropped.  The one
+        constructor that brings scalars to the canonical form."""
         if rows < 0 or cols < 0:
             raise ShapeError(f"negative shape {rows}x{cols}")
-        # row-major positions, numerators and denominators of the nonzeros
-        where = []
-        nums = []
-        dens = []
-        count = 0
-        for count, x in enumerate(entries, 1):
-            if not isinstance(x, (int, Fraction)):
+        nz = [[] for _ in range(rows)]
+        dens = []  # the denominators other than one
+        for (i, j), x in entries.items():
+            if type(i) is not int or type(j) is not int:
+                raise TypeError(f"not a matrix index: ({i!r}, {j!r})")
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ShapeError(f"entry ({i},{j}) outside {rows}x{cols}")
+            if type(x) is not int:
                 x = _as_fraction(x)
+                if x.denominator == 1:
+                    x = x.numerator
+                else:
+                    dens.append(x.denominator)
             if x:
-                where.append(count - 1)
-                nums.append(x.numerator)
-                dens.append(x.denominator)
-        if count != rows * cols:
-            raise ShapeError(
-                f"{rows}x{cols} matrix needs {rows * cols} entries, got {count}"
-            )
+                nz[i].append((j, x))
         # over the lcm of reduced denominators the numerators share no
         # factor with it, so the form is already canonical
         den = lcm(*dens)
         if den != 1:
-            nums = [n * (den // d) for n, d in zip(nums, dens)]
-        nz = [[] for _ in range(rows)]
-        for k, v in zip(where, nums):
-            i, j = divmod(k, cols)
-            nz[i].append((j, v))
-        Matrix._set(self, rows, cols, tuple(map(tuple, nz)), den)
+            nz = [[(j, x.numerator * (den // x.denominator)) for j, x in row] for row in nz]
+        return cls._new(rows, cols, tuple([tuple(sorted(row)) for row in nz]), den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
-
-    def _set(self, rows: int, cols: int, nz: tuple, den: int) -> None:
-        _set_rows(self, rows)
-        _set_cols(self, cols)
-        _set_nz(self, nz)
-        _set_den(self, den)
 
     @classmethod
     def _new(cls, rows: int, cols: int, nz: tuple, den: int = 1) -> "Matrix":
@@ -489,7 +501,14 @@ def inverse(a: Matrix) -> Matrix:
 
 
 def scalar_to_str(x: ScalarLike) -> str:
-    return str(_as_fraction(x))
+    """``x`` as ``"p/q"``; raises ValueError when p or q has more digits
+    than the interpreter converts to text (``sys.get_int_max_str_digits()``)."""
+    x = _as_fraction(x)
+    try:
+        return str(x)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"exact value too long to print: over {limit} digits") from None
 
 
 def integer_from_json(x) -> int:
@@ -513,11 +532,7 @@ def matrix_to_json(a: Matrix) -> list[list[str]]:
 def matrix_from_json(obj) -> Matrix:
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise ValueError("matrix JSON must be a list of rows")
-    rows = len(obj)
-    cols = len(obj[0]) if rows else 0
-    flat = []
-    for r in obj:
-        if len(r) != cols:
-            raise ValueError("matrix JSON has ragged rows")
-        flat.extend(scalar_from_str(x) for x in r)
-    return Matrix(rows, cols, flat)
+    try:
+        return Matrix.from_rows([[scalar_from_str(x) for x in r] for r in obj])
+    except ShapeError:
+        raise ValueError("matrix JSON has ragged rows") from None

@@ -56,7 +56,6 @@ from .exactlin import (
     padded_matmul,
     rank,
     scalar_from_str,
-    scalar_to_str,
 )
 from .terms import DualityData, Relation, Signature, Term, parse_term
 
@@ -371,9 +370,9 @@ def algebra_to_json(alg: FrobeniusAlgebra) -> dict:
     if alg.basis_names is not None:
         obj["basis"] = list(alg.basis_names)
     obj["mu"] = matrix_to_json(alg.mu)
-    obj["eta"] = [scalar_to_str(alg.eta.entry(i, 0)) for i in range(alg.dim)]
+    obj["eta"] = matrix_to_json(alg.eta.transpose())[0]
     obj["delta"] = matrix_to_json(alg.delta)
-    obj["eps"] = [scalar_to_str(alg.eps.entry(0, j)) for j in range(alg.dim)]
+    obj["eps"] = matrix_to_json(alg.eps)[0]
     return obj
 
 

@@ -110,8 +110,8 @@ def _validate(ring: FusionRing) -> tuple[FusionRingReport, Interpretation | None
     failures = [("nonnegative-integer", at) for at, v in cells.items() if not isinstance(v, int) or v < 0]
     interp, differs = None, {}
     if all(isinstance(v, int) for v in cells.values()):
-        mu = Matrix(r, r * r, [n[i][j][k] for k, i, j in itertools.product(range(r), repeat=3)])
-        eta = Matrix.column([1] + [0] * (r - 1))
+        mu = Matrix.from_entries(r, r * r, {(k, i * r + j): v for (i, j, k), v in cells.items() if v})
+        eta = Matrix.from_entries(r, 1, {(0, 0): 1})
         interp = Interpretation(_algebra_signature(_RING_LAWS), {"S1": r}, {"pants": mu, "cap": eta})
         for rel, lhs, rhs in relation_values(interp):
             differs[rel.name] = [divmod(x, lhs.cols) for x in lhs.differences(rhs)]
@@ -167,7 +167,7 @@ def grothendieck_frobenius(ring: FusionRing) -> FrobeniusAlgebra:
     r = ring.rank
     if differs["R4a_commutative"]:
         raise NotCommutativeRing(min((ij // r, ij % r, k) for k, ij in differs["R4a_commutative"]))
-    gram = Matrix(r, r, [int(j == d) for d in ring.dual for j in range(r)])
+    gram = Matrix.from_entries(r, r, {(i, d): 1 for i, d in enumerate(ring.dual)})
     mu, eta = interp.gen_matrix["pants"], interp.gen_matrix["cap"]
     return _complete(r, mu, eta, BilinearPairing(r, gram), ring.labels)
 

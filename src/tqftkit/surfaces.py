@@ -84,13 +84,17 @@ def handle_operator(alg: FrobeniusAlgebra) -> Matrix:
 
 
 def surface_invariant(alg: FrobeniusAlgebra, genus: int) -> Fraction:
-    """Exact value of the closed genus-g surface: eps . H^g . eta."""
+    """Exact value of the closed genus-g surface: eps . H^g . eta, with H^g
+    applied to eta by repeated squaring."""
     if genus < 0:
         raise ValueError("genus must be nonnegative")
-    state = alg.eta
-    h = handle_operator(alg)
-    for _ in range(genus):
-        state = matmul(h, state)
+    state, power = alg.eta, handle_operator(alg)  # power is H^(2^k) at bit k of the genus
+    while genus:
+        if genus & 1:
+            state = matmul(power, state)
+        genus >>= 1
+        if genus:
+            power = matmul(power, power)
     return matmul(alg.eps, state).entry(0, 0)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -38,6 +39,15 @@ def eleven_algebras():
 @pytest.fixture(scope="session")
 def algebra_zoo():
     return eleven_algebras()
+
+
+@pytest.fixture
+def digit_limit():
+    """The interpreter's default limit on int-to-text conversion, set for one test."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
 
 
 def parser_signature() -> Signature:

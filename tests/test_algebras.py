@@ -1,9 +1,11 @@
 """Stock algebra constructors and their independent oracles."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from tqftkit import algebras, fusion
 from tqftkit.algebras import (
     FiniteGroupTable,
     builtin_algebra,
@@ -190,3 +192,127 @@ class TestBuiltins:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             builtin_algebra("z9000")
+
+    def test_spec_items_must_be_integers(self):
+        for name, message in [
+            ("center:[1,,2]", "block size must be an integer, got ''"),
+            ("center:[1,x]", "block size must be an integer, got 'x'"),
+            ("milnor:x", "degree must be an integer, got 'x'"),
+        ]:
+            with pytest.raises(ValueError) as err:
+                builtin_algebra(name)
+            assert str(err.value) == message
+
+
+# --- builders against dense references ------------------------------------------
+
+
+class Built(Exception):
+    """Stops a builder once its matrices reach the Frobenius constructor."""
+
+
+def built_matrices(monkeypatch, module, constructor, build):
+    """The (mu, eta, gram) a builder hands to ``module.constructor``."""
+    seen = []
+
+    def capture(dim, mu, eta, pairing, names=None):
+        seen.append((mu, eta, pairing.gram))
+        raise Built
+
+    monkeypatch.setattr(module, constructor, capture)
+    with pytest.raises(Built):
+        build()
+    return seen[0]
+
+
+# the dense row lists the builders filled before they passed their nonzeros
+
+
+def dense_group_algebra(table):
+    n = table.order
+    mu_rows = [[0] * (n * n) for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            mu_rows[table.mult[i][j]][i * n + j] = 1
+    eta = Matrix(n, 1, [1 if i == table.identity else 0 for i in range(n)])
+    gram = Matrix.from_rows([[1 if j == table.inverse[i] else 0 for j in range(n)] for i in range(n)])
+    return Matrix.from_rows(mu_rows), eta, gram
+
+
+def dense_matrix_center(block_sizes):
+    k = len(block_sizes)
+    mu_rows = [[0] * (k * k) for _ in range(k)]
+    for i in range(k):
+        mu_rows[i][i * k + i] = 1
+    gram = Matrix.from_rows([[block_sizes[i] if i == j else 0 for j in range(k)] for i in range(k)])
+    return Matrix.from_rows(mu_rows), Matrix(k, 1, [1] * k), gram
+
+
+def dense_milnor(d):
+    n = d - 1
+    mu_rows = [[0] * (n * n) for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            if a + b < n:
+                mu_rows[a + b][a * n + b] = 1
+    eta = Matrix(n, 1, [1] + [0] * (n - 1))
+    gram = Matrix.from_rows(
+        [[Fraction(1, d) if a + b == d - 2 else Fraction(0) for b in range(n)] for a in range(n)]
+    )
+    return Matrix.from_rows(mu_rows), eta, gram
+
+
+def dense_fusion(ring):
+    r = ring.rank
+    mu = Matrix(r, r * r, [ring.n[i][j][k] for k in range(r) for i in range(r) for j in range(r)])
+    gram = Matrix(r, r, [int(j == d) for d in ring.dual for j in range(r)])
+    return mu, Matrix.column([1] + [0] * (r - 1)), gram
+
+
+BUILDERS = (
+    [(f"z{n}", algebras, "from_economy", lambda n=n: group_algebra(cyclic_group(n)),
+      lambda n=n: dense_group_algebra(cyclic_group(n))) for n in (1, 2, 3, 5)]
+    + [("z2xz2", algebras, "from_economy",
+        lambda: group_algebra(direct_product(cyclic_group(2), cyclic_group(2))),
+        lambda: dense_group_algebra(direct_product(cyclic_group(2), cyclic_group(2))))]
+    + [("s3", algebras, "from_economy", lambda: group_algebra(symmetric_group(3)),
+        lambda: dense_group_algebra(symmetric_group(3)))]
+    + [(f"milnor:{d}", algebras, "from_economy", lambda d=d: milnor_ring(d), lambda d=d: dense_milnor(d))
+       for d in (2, 3, 4, 5, 9)]
+    + [(f"center:{sizes}", algebras, "from_economy", lambda s=sizes: matrix_center_algebra(s),
+        lambda s=sizes: dense_matrix_center(s)) for sizes in ([1], [1, 2], [3, 1, 2])]
+    + [(f"gr({name})", fusion, "_complete", lambda r=ring: fusion.grothendieck_frobenius(r()),
+        lambda r=ring: dense_fusion(r()))
+       for name, ring in [("fibonacci", fusion.fibonacci), ("ising", fusion.ising)]
+       + [(f"vec_z{n}", lambda n=n: fusion.vec_z(n)) for n in (1, 2, 3, 4, 6)]]
+)
+
+
+@pytest.mark.parametrize("name, module, constructor, build, dense", BUILDERS, ids=[b[0] for b in BUILDERS])
+def test_builder_matches_dense_reference(monkeypatch, name, module, constructor, build, dense):
+    assert built_matrices(monkeypatch, module, constructor, build) == dense()
+
+
+def test_triangular_matches_dense_reference():
+    n = 3
+    basis = [(0, 0), (0, 1), (1, 1)]
+    mu_rows = [[0] * (n * n) for _ in range(n)]
+    for i, (a, b) in enumerate(basis):
+        for j, (c, d) in enumerate(basis):
+            if b == c:
+                mu_rows[basis.index((a, d))][i * n + j] = 1
+    assert upper_triangular_algebra() == (n, Matrix.from_rows(mu_rows), Matrix(n, 1, [1, 0, 1]))
+
+
+def test_milnor_300_is_built_from_its_nonzeros(monkeypatch):
+    # dense staging of its three matrices peaked at about 427 MB
+    tracemalloc.start()
+    try:
+        mu, eta, gram = built_matrices(monkeypatch, algebras, "from_economy", lambda: milnor_ring(300))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert sum(map(len, mu.nz)) == 299 * 300 // 2
+    assert eta.nz[0] == ((0, 1),) and gram.den == 300
+    assert all(row == ((298 - a, 1),) for a, row in enumerate(gram.nz))

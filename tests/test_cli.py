@@ -251,6 +251,24 @@ class TestErrorDiagnostics:
         assert code == 2
         assert "z9000" in err
 
+    @pytest.mark.parametrize("spec, message", [
+        ("center:[1,,2]", "block size must be an integer, got ''"),
+        ("center:[1,]", "block size must be an integer, got ''"),
+        ("center:[1,x]", "block size must be an integer, got 'x'"),
+        ("milnor:x", "degree must be an integer, got 'x'"),
+        ("milnor:", "degree must be an integer, got ''"),
+    ])
+    def test_malformed_builtin_spec(self, capout, spec, message):
+        code, out, err = capout("invariant", "--algebra", spec, "--genus", "1")
+        assert (code, out, err) == (2, "", f"error: {spec}: {message}\n")
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_value_too_long_to_print(self, capout, digit_limit, json_flag):
+        # 2^20000 has 6,021 digits
+        code, out, err = capout("invariant", "--algebra", "z2", "--genus", "20000", *json_flag)
+        assert (code, out) == (2, "")
+        assert err == f"error: exact value too long to print: over {digit_limit} digits\n"
+
     def test_missing_file(self, capout):
         code, _, err = capout("check", "--algebra", "nowhere/missing.json")
         assert code == 2

@@ -1,6 +1,7 @@
 """Evaluation: functoriality, relation checking, bending and reconstruction."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -136,6 +137,18 @@ class TestCheckRelations:
         assert "R2d_counit_right" in report.failing()
         failing_check = next(c for c in report.checks if not c.ok)
         assert failing_check.mismatch is not None
+
+    def test_mismatch_entries_print_as_scalars(self, digit_limit):
+        one = Matrix.scalar(1)
+
+        def line(pants):
+            gens = {"pants": Matrix.scalar(pants), "copants": one, "cap": one, "cup": one}
+            return Interpretation(bord2_signature(), {"S1": 1}, gens)
+
+        unit = next(c for c in check_relations(line(Fraction(-1, 2))).checks if c.relation.name == "R2a_unit_left")
+        assert unit.mismatch == (0, 0, "-1/2", "1")
+        with pytest.raises(ValueError, match=f"^exact value too long to print: over {digit_limit} digits$"):
+            check_relations(line(10**digit_limit))
 
     def test_trivial_interpretation_passes(self):
         report = check_relations(frobenius_interpretation(trivial_algebra()))

@@ -194,6 +194,78 @@ class TestReshape:
             a.first_difference(a.reshape(1, 4))
 
 
+entry_values = st.one_of(
+    st.just(0),
+    st.integers(min_value=-9, max_value=9),
+    scalars,
+    scalars.map(str),
+    st.sampled_from(["0", "-0", "0/5", "4/2"]),
+)
+
+
+class TestFromEntries:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
+            lambda s: st.tuples(
+                st.just(s),
+                st.dictionaries(
+                    st.tuples(st.integers(0, max(s[0] - 1, 0)), st.integers(0, max(s[1] - 1, 0))),
+                    entry_values,
+                    max_size=s[0] * s[1],
+                ),
+            )
+        )
+    )
+    def test_equals_the_dense_constructor(self, case):
+        (rows, cols), entries = case
+        if rows * cols == 0:
+            entries = {}
+        dense = [entries.get((i, j), 0) for i in range(rows) for j in range(cols)]
+        m = Matrix.from_entries(rows, cols, entries)
+        assert m == Matrix(rows, cols, dense)
+        assert m.to_lists() == [[Fraction(entries.get((i, j), 0)) for j in range(cols)] for i in range(rows)]
+
+    def test_canonical_form(self):
+        m = Matrix.from_entries(2, 3, {(1, 2): Fraction(1, 6), (1, 0): "1/4", (0, 1): 0, (0, 0): 2})
+        assert m.den == 12 and m.nz == (((0, 24),), ((0, 3), (2, 2)))
+        assert Matrix.from_entries(2, 2, {(0, 0): 0, (1, 1): "0/3"}) == Matrix.zeros(2, 2)
+        assert Matrix.from_entries(3, 0, {}) == Matrix.zeros(3, 0)
+
+    @pytest.mark.parametrize("rows, cols, entries, message", [
+        (2, 2, {(2, 0): 1}, "entry (2,0) outside 2x2"),
+        (2, 2, {(0, 2): 0}, "entry (0,2) outside 2x2"),
+        (2, 2, {(-1, 0): 1}, "entry (-1,0) outside 2x2"),
+        (0, 0, {(0, 0): 1}, "entry (0,0) outside 0x0"),
+        (-1, 2, {}, "negative shape -1x2"),
+        (2, -3, {(0, 0): 1}, "negative shape 2x-3"),
+    ])
+    def test_bad_index_or_shape(self, rows, cols, entries, message):
+        with pytest.raises(ShapeError) as err:
+            Matrix.from_entries(rows, cols, entries)
+        assert str(err.value) == message
+
+    def test_bad_index_type_or_scalar(self):
+        with pytest.raises(TypeError, match="not a matrix index"):
+            Matrix.from_entries(2, 2, {(0, 1.0): 1})
+        with pytest.raises(TypeError, match="not an exact scalar: 0.5"):
+            Matrix.from_entries(2, 2, {(0, 1): 0.5})
+
+    def test_dense_adapter_messages(self):
+        with pytest.raises(ShapeError, match="^negative shape -1x2$"):
+            Matrix(-1, 2, [])
+        with pytest.raises(ShapeError, match="^2x2 matrix needs 4 entries, got 3$"):
+            Matrix(2, 2, [1, 2, 3])
+        with pytest.raises(ShapeError, match="^0x3 matrix needs 0 entries, got 1$"):
+            Matrix(0, 3, [1])
+        for bad in (1.5, 0.0, None):
+            with pytest.raises(TypeError, match=f"^not an exact scalar: {bad}$"):
+                Matrix(1, 2, [1, bad])
+        with pytest.raises(ValueError):
+            Matrix(1, 2, [1, ""])
+        assert Matrix(2, 2, iter([1, 0, 0, 1])) == Matrix.identity(2)
+
+
 class TestSerialization:
     def test_scalar_round_trip(self):
         for text in ["0", "7", "-3", "1/3", "-22/7"]:
@@ -201,6 +273,13 @@ class TestSerialization:
 
     def test_denominator_one_omitted(self):
         assert scalar_to_str(Fraction(4, 2)) == "2"
+
+    def test_too_long_to_print(self, digit_limit):
+        assert scalar_to_str(-(10 ** (digit_limit - 1))) == "-1" + "0" * (digit_limit - 1)
+        for x in (10**digit_limit, Fraction(1, 3**10000)):
+            with pytest.raises(ValueError) as err:
+                scalar_to_str(x)
+            assert str(err.value) == f"exact value too long to print: over {digit_limit} digits"
 
     def test_bad_scalar(self):
         with pytest.raises(ValueError):

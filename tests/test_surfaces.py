@@ -147,6 +147,19 @@ class TestSurfaceInvariants:
                 by_term = eval_term(genus_term(g), interp).entry(0, 0)
                 assert by_term == surface_invariant(alg, g), (name, g)
 
+    def test_squaring_matches_the_linear_loop(self, algebra_zoo):
+        # oracle: the handle operator applied g times, one product per handle
+        for name, alg in algebra_zoo:
+            state, h = alg.eta, handle_operator(alg)
+            for g in range(65):
+                assert surface_invariant(alg, g) == matmul(alg.eps, state).entry(0, 0), (name, g)
+                state = matmul(h, state)
+
+    def test_huge_genus_by_squaring(self):
+        assert surface_invariant(group_algebra(cyclic_group(2)), 100_000) == 2**100_000
+        assert surface_invariant(matrix_center_algebra([1, 2]), 99_999) == 1 + Fraction(1, 2**99_998)
+        assert surface_invariant(milnor_ring(5), 10**9) == 0
+
     def test_alternative_decompositions_agree(self):
         sig = bord2_signature()
         twisted_torus = parse_term("cap ; copants ; swap[S1,S1] ; pants ; cup", sig)
