@@ -32,7 +32,12 @@ label's designated duality once, when it is built
 (``Interpretation.duality``); a word's copairing C and pairing P nest the
 labels' ones, the first outermost: for E = (x, rest),
 C_E = (C_x (x) C_rest) . swap(rest, x) and P_E = swap(x, rest) .
-(P_x (x) P_rest), assembled per call with no term built or kept.
+(P_x (x) P_rest), built with no term on the word's first use and kept
+by the interpretation (``Interpretation.word_duality``), so bending or
+reconstructing again along the same word costs one product and one
+reshape.  ``typecheck`` keeps each term's type per signature, so
+``eval_term`` and ``bend_state`` walk a term they have typechecked
+before only to evaluate it.
 """
 
 from __future__ import annotations
@@ -82,7 +87,10 @@ class MissingDuality(ValueError):
 class Interpretation:
     """A symmetric monoidal functor restricted to generators.  ``duality``
     maps each label with a designated duality to the values of its two
-    terms (copairing, pairing), each read as a dim x dim matrix."""
+    terms (copairing, pairing), each read as a dim x dim matrix, evaluated
+    when the interpretation is built.  A word's copairing and pairing are
+    built on first use and kept for the interpretation's lifetime
+    (``word_duality``)."""
 
     def __init__(
         self,
@@ -111,12 +119,33 @@ class Interpretation:
         for label, data in sig.duality.items():
             d = self.obj_dim[label]
             self.duality[label] = tuple(_eval(t, self).reshape(d, d) for t in (data.coev, data.pairing))
+        self._word_dualities: dict[tuple[ObjectWord, bool], Matrix] = {}
 
     def dim(self, word: ObjectWord) -> int:
         d = 1
         for label in word:
             d *= self.obj_dim[label]
         return d
+
+    def word_duality(self, word: ObjectWord, pairing: bool) -> Matrix:
+        """C_word, or P_word with ``pairing``, read as a dim x dim matrix,
+        built on the word's first use and kept; MissingDuality names the
+        word's first label without a duality."""
+        value = self._word_dualities.get((word, pairing))
+        if value is not None:
+            return value
+        for label in word:
+            if label not in self.duality:
+                raise MissingDuality(label)
+        value = self.duality[word[-1]][pairing] if word else _ONE
+        for label in reversed(word[:-1]):
+            m = self.duality[label][pairing]
+            if pairing:
+                value = matmul(swap_matrix(m.rows, value.rows), kron(m, value))
+            else:
+                value = matmul(kron(m, value), swap_matrix(value.rows, m.rows))
+        self._word_dualities[word, pairing] = value
+        return value
 
 
 def eval_term(t: Term, interp: Interpretation) -> Matrix:
@@ -288,22 +317,6 @@ def naturality_failures(
     return failures
 
 
-def _word_duality(word: ObjectWord, interp: Interpretation, pairing: bool) -> Matrix:
-    """C_word, or P_word with ``pairing``, read as a dim x dim matrix;
-    MissingDuality names the word's first label without a duality."""
-    for label in word:
-        if label not in interp.duality:
-            raise MissingDuality(label)
-    value = interp.duality[word[-1]][pairing] if word else Matrix.identity(1)
-    for label in reversed(word[:-1]):
-        m = interp.duality[label][pairing]
-        if pairing:
-            value = matmul(swap_matrix(m.rows, value.rows), kron(m, value))
-        else:
-            value = matmul(kron(m, value), swap_matrix(value.rows, m.rows))
-    return value
-
-
 def bend_state(t: Term, interp: Interpretation) -> Matrix:
     """State () -> target . reverse(source) obtained by bending the source.
 
@@ -321,7 +334,7 @@ def bend_value(m: Matrix, source: ObjectWord, interp: Interpretation) -> Matrix:
     reshaped product ``m . C_source``."""
     if not source:
         return m
-    return matmul(m, _word_duality(source, interp, False)).reshape(m.rows * m.cols, 1)
+    return matmul(m, interp.word_duality(source, False)).reshape(m.rows * m.cols, 1)
 
 
 def reconstruct_map(
@@ -348,4 +361,4 @@ def reconstruct_map(
         )
     if not source:
         return state
-    return matmul(state.reshape(d_tgt, d_src), _word_duality(source, interp, True))
+    return matmul(state.reshape(d_tgt, d_src), interp.word_duality(source, True))

@@ -324,7 +324,11 @@ class Matrix:
         return hash((self.rows, self.cols, self.nz, self.den))
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(map(scalar_to_str, row)) for row in self.to_lists())
+        """Entries as ``p/q``; one whose numerator or denominator may be
+        over the interpreter's digit limit shows its bit length instead,
+        as ``<20001-bit>``, and is never converted to text."""
+        limit = sys.get_int_max_str_digits()
+        body = "; ".join(" ".join(_repr_scalar(x, limit) for x in row) for row in self.to_lists())
         return f"Matrix({self.rows}x{self.cols}: [{body}])"
 
 
@@ -509,6 +513,14 @@ def scalar_to_str(x: ScalarLike) -> str:
     except ValueError:
         limit = sys.get_int_max_str_digits()
         raise ValueError(f"exact value too long to print: over {limit} digits") from None
+
+
+def _repr_scalar(x: Fraction, limit: int) -> str:
+    bits = max(x.numerator.bit_length(), x.denominator.bit_length())
+    # an integer of b bits has at most floor(b log10 2) + 1 digits
+    if limit and bits * 30103 // 100000 >= limit:
+        return f"{'-' if x < 0 else ''}<{bits}-bit>"
+    return str(x)
 
 
 def integer_from_json(x) -> int:

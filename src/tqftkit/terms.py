@@ -32,9 +32,10 @@ them once, so it takes time linear in the length of the text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from functools import reduce
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 ObjectWord = tuple[str, ...]
 
@@ -119,23 +120,42 @@ def _fmt_path(path: tuple[str, ...]) -> str:
 
 
 @dataclass(frozen=True)
-class Gen:
+class _Node:
+    """Base of the term classes.
+
+    ``_typed`` is ``(weak reference to a signature, (source, target))``,
+    stored by the last successful ``typecheck`` of this node as a root.
+    It takes no part in ``==``, ``hash``, ``repr`` or pickling, and costs
+    nothing at construction (the class attribute holds its default).
+    """
+
+    _typed: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
+
+    def __getstate__(self) -> dict:
+        # a weak reference cannot be pickled, and a copy can be typechecked again
+        state = dict(self.__dict__)
+        state.pop("_typed", None)
+        return state
+
+
+@dataclass(frozen=True)
+class Gen(_Node):
     name: str
 
 
 @dataclass(frozen=True)
-class Id:
+class Id(_Node):
     word: ObjectWord
 
 
 @dataclass(frozen=True)
-class Swap:
+class Swap(_Node):
     left: ObjectWord
     right: ObjectWord
 
 
 @dataclass(frozen=True)
-class Compose:
+class Compose(_Node):
     """Diagrammatic composite: ``first`` then ``then``."""
 
     first: "Term"
@@ -143,12 +163,14 @@ class Compose:
 
 
 @dataclass(frozen=True)
-class Tensor:
+class Tensor(_Node):
     left: "Term"
     right: "Term"
 
 
-Term = Union[Gen, Id, Swap, Compose, Tensor]
+# a union object, not typing.Union, whose global cache would keep every
+# reloaded copy of these classes (and this module's globals) alive
+Term = Gen | Id | Swap | Compose | Tensor
 _FACTORS = {Compose: ("first", "then"), Tensor: ("left", "right")}  # path steps
 
 
@@ -280,8 +302,20 @@ def fold(t: Term, leaf, combine, ctx):
 
 def typecheck(t: Term, sig: Signature) -> tuple[ObjectWord, ObjectWord]:
     """Source and target of a term, or a typed error with the path to the
-    first offending subterm in walk order."""
-    return fold(t, _type_leaf, _type_combine, (sig, t))
+    first offending subterm in walk order.
+
+    The answer is kept on ``t`` with a weak reference to ``sig``, so
+    typechecking ``t`` against the same signature object again walks no
+    node; another signature, or a dropped one, walks the term afresh.
+    A failing typecheck keeps nothing.  A signature is never changed
+    after construction, which is what makes the kept answer valid.
+    """
+    typed = getattr(t, "_typed", None)
+    if typed is not None and typed[0]() is sig:
+        return typed[1]
+    types = fold(t, _type_leaf, _type_combine, (sig, t))
+    object.__setattr__(t, "_typed", (weakref.ref(sig), types))
+    return types
 
 
 def _type_leaf(node: Term, ctx) -> tuple[ObjectWord, ObjectWord]:

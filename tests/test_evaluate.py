@@ -279,6 +279,21 @@ class TestBuiltOnce:
         monkeypatch.undo()
         assert rebuilt == eval_term(t, z2_interp)
 
+    def test_a_kept_word_duality_builds_no_product_again(self, monkeypatch):
+        alg = group_algebra(cyclic_group(3))
+        interp = Interpretation(bord2_signature(), {"S1": 3}, alg.interpretation.gen_matrix)
+        t = parse_term("pants * id[S1] ; pants", interp.sig)
+        src, tgt = typecheck(t, interp.sig)
+        calls = []
+        for name in ("kron", "swap_matrix"):
+            real = getattr(evaluate, name)
+            monkeypatch.setattr(evaluate, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+        first = reconstruct_map(bend_state(t, interp), src, tgt, interp)
+        assert sorted(set(calls)) == ["kron", "swap_matrix"]
+        calls.clear()
+        assert reconstruct_map(bend_state(t, interp), src, tgt, interp) == first == eval_term(t, interp)
+        assert calls == []
+
     def test_wide_words_need_no_recursion(self):
         interp = frobenius_interpretation(trivial_algebra())
         word = ("S1",) * 2000

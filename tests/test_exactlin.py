@@ -281,6 +281,11 @@ class TestSerialization:
                 scalar_to_str(x)
             assert str(err.value) == f"exact value too long to print: over {digit_limit} digits"
 
+    def test_repr_abbreviates_entries_too_long_to_print(self, digit_limit):
+        m = Matrix.from_rows([[2**20000, Fraction(-1, 3**10000)], [Fraction(1, 2), 0]])
+        assert repr(m) == "Matrix(2x2: [<20001-bit> -<15850-bit>; 1/2 0])"
+        assert repr(Matrix.scalar(-(10 ** (digit_limit - 1)))) == f"Matrix(1x1: [-1{'0' * (digit_limit - 1)}])"
+
     def test_bad_scalar(self):
         with pytest.raises(ValueError):
             scalar_from_str("ten")

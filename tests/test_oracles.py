@@ -33,7 +33,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import eleven_algebras, enumerate_terms, random_term
+from conftest import eleven_algebras, enumerate_terms, random_term, term_with_source
 from test_exactlin import reference_inverse, reference_kron, reference_reduce
 from test_frobenius import invalid_morphisms, valid_morphisms
 from tqftkit import dualpairs, evaluate, exactlin, frobenius, terms
@@ -50,6 +50,7 @@ from tqftkit.evaluate import (
     Interpretation,
     bend_state,
     MissingDuality,
+    bend_value,
     check_relations,
     eval_term,
     naturality_failures,
@@ -709,6 +710,31 @@ def test_missing_duality_names_the_first_undualised_label():
                 bend()
             assert err.value.label == label, (undualised, word)
         assert sorted(interp.duality) == sorted(set("abc") - set(undualised))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    which=st.integers(min_value=0, max_value=10),
+    width=st.integers(min_value=0, max_value=3),
+    rng=st.randoms(use_true_random=False),
+)
+def test_kept_word_dualities_match_a_fresh_interpretation(algebra_zoo, which, width, rng):
+    # the zoo algebra keeps its interpretation, so its word dualities are
+    # kept from earlier examples and tests; the fresh one builds them here
+    warm = algebra_zoo[which][1].interpretation
+    sig = warm.sig
+    t = term_with_source(rng, sig, ("S1",) * width, 3)
+    src, tgt = typecheck(t, sig)
+    assume(warm.dim(src) * warm.dim(tgt) <= 1024)
+    direct = eval_term(t, warm)
+    reconstruct_map(bend_state(t, warm), src, tgt, warm)
+    fresh = Interpretation(sig, warm.obj_dim, warm.gen_matrix)
+    state = bend_state(t, warm)
+    assert state == bend_state(t, fresh) == bend_value(direct, src, fresh) == bend_value(direct, src, warm)
+    assert reconstruct_map(state, src, tgt, warm) == reconstruct_map(state, src, tgt, fresh) == direct
+    fresh = Interpretation(sig, warm.obj_dim, warm.gen_matrix)
+    other = Matrix(state.rows, 1, [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(state.rows)])
+    assert reconstruct_map(other, src, tgt, warm) == reconstruct_map(other, src, tgt, fresh)
 
 
 # --- post-conditions -------------------------------------------------------

@@ -1,11 +1,18 @@
 """Term language: type checking, parsing, rendering."""
 
+import gc
+import os
+import pickle
 import random
+import subprocess
+import sys
+import weakref
 
 import pytest
 
 from conftest import parser_signature, random_term
-from tqftkit.surfaces import bord2_signature
+from tqftkit import terms
+from tqftkit.surfaces import bord2_signature, genus_term
 from tqftkit.terms import (
     Compose,
     ComposeMismatch,
@@ -113,6 +120,107 @@ class TestTypecheck:
         wrap = lambda t: typecheck(Compose(t, Gen("pants")), sig)
         assert wrap(sub_a) == ((), ("S1",))
         assert wrap(sub_b) == ((), ("S1",))
+
+
+def two_way_signatures():
+    """``f ; g`` is a -> a in the first signature, b -> b in the third, and
+    a composition mismatch in the second."""
+    first = Signature("ab", {"f": (("a",), ("b",)), "g": (("b",), ("a",))})
+    second = Signature("ab", {"f": (("a",), ("b",)), "g": (("a",), ("a",))})
+    third = Signature("ab", {"f": (("b",), ("a",)), "g": (("a",), ("b",))})
+    return first, second, third
+
+
+class TestKeptTypes:
+    """``typecheck`` keeps a term's type per signature object on the term."""
+
+    def test_alternating_signatures_give_each_its_own_answer(self):
+        first, second, third = two_way_signatures()
+        t = Compose(Gen("f"), Gen("g"))
+        for _ in range(3):
+            assert typecheck(t, first) == (("a",), ("a",))
+            with pytest.raises(ComposeMismatch) as err:
+                typecheck(t, second)
+            assert err.value.path == ()
+            assert typecheck(t, third) == (("b",), ("b",))
+
+    def test_failed_typecheck_keeps_nothing(self):
+        first, second, _ = two_way_signatures()
+        t = Compose(Gen("f"), Gen("g"))
+        with pytest.raises(ComposeMismatch):
+            typecheck(t, second)
+        assert "_typed" not in vars(t) and t._typed is None
+        assert typecheck(t, first) == (("a",), ("a",))
+        kept = t._typed
+        with pytest.raises(ComposeMismatch):
+            typecheck(t, second)
+        assert t._typed is kept
+
+    def test_kept_type_changes_no_equality_hash_repr_or_pickle(self):
+        sig = bord2_signature()
+        t, twin = (Compose(Tensor(Gen("pants"), Id(("S1",))), Gen("pants")) for _ in range(2))
+        text, digest = repr(t), hash(t)
+        typecheck(t, sig)
+        assert t._typed is not None and twin._typed is None
+        assert t == twin and hash(t) == digest == hash(twin) and repr(t) == text
+        copy = pickle.loads(pickle.dumps(t))
+        assert copy == t and copy._typed is None
+        assert typecheck(copy, sig) == typecheck(t, sig)
+
+    def test_dropped_signature_is_freed_by_refcount(self):
+        t = Compose(Gen("f"), Gen("g"))
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            sig = Signature(
+                "ab",
+                {"f": (("a",), ("b",)), "g": (("b",), ("a",)), "u": ((), ("a", "a")), "e": (("a", "a"), ())},
+                [Relation("fg", t, Id(("a",)))],
+                {"a": terms.DualityData(Gen("u"), Gen("e"))},
+            )
+            assert typecheck(t, sig) == (("a",), ("a",))
+            dead = weakref.ref(sig)
+            del sig
+            assert dead() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+        # the kept type names a dead signature, so a new one walks the term again
+        with pytest.raises(ComposeMismatch):
+            typecheck(t, two_way_signatures()[1])
+
+    def test_second_typecheck_of_a_deep_term_walks_no_node(self, monkeypatch):
+        sig = bord2_signature()
+        t = genus_term(80000)
+        walks = []
+        real_fold = terms.fold
+        monkeypatch.setattr(terms, "fold", lambda *args: walks.append(args[0]) or real_fold(*args))
+        assert typecheck(t, sig) == ((), ())
+        assert walks == [t]
+        assert typecheck(t, sig) == ((), ())
+        assert walks == [t]
+
+    def test_reloading_the_package_keeps_no_old_term_classes(self):
+        # a typing.Union of the term classes would sit in typing's global
+        # cache and keep every reloaded copy of them alive
+        script = (
+            "import gc, importlib, sys\n"
+            "for _ in range(3):\n"
+            "    for name in [m for m in sys.modules if m.split('.')[0] == 'tqftkit']:\n"
+            "        del sys.modules[name]\n"
+            "    importlib.import_module('tqftkit')\n"
+            "    for sub in ('cli', 'dualpairs', 'evaluate', 'frobenius', 'fusion', 'surfaces', 'terms'):\n"
+            "        importlib.import_module('tqftkit.' + sub)\n"
+            "gc.collect()\n"
+            "print(sum(1 for o in gc.get_objects()\n"
+            "          if isinstance(o, type) and o.__name__ == 'Gen' and o.__module__ == 'tqftkit.terms'))\n"
+        )
+        src = os.path.dirname(os.path.dirname(terms.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "1\n"
 
 
 class TestParser:
