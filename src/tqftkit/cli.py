@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from functools import cache
 
 from . import algebras, dualpairs, fusion, surfaces
-from .evaluate import Interpretation, bend_value, check_relations, eval_typed_term, reconstruct_map
+from .evaluate import Interpretation, bend_value, check_relations, eval_term, reconstruct_map
 from .exactlin import ShapeError, integer_from_json, matrix_from_json, matrix_to_json, scalar_to_str
 from .frobenius import (
     AxiomReport,
@@ -28,7 +28,7 @@ from .frobenius import (
     algebra_from_json,
     check_axioms,
 )
-from .terms import Signature, TermError, parse_typed_term, signature_from_json
+from .terms import Signature, Term, TermError, parse_term, signature_from_json, typecheck
 
 __all__ = ["main", "run"]
 
@@ -101,8 +101,9 @@ def _load_interpretation(sig_spec: str, algebra_spec: str) -> Interpretation:
         raise _fail(algebra_spec, f"bad interpretation: {exc}") from exc
 
 
-def _load_term(spec: str, sig: Signature):
-    """The term a --term argument names, with its source and target."""
+def _load_term(spec: str, sig: Signature) -> Term:
+    """The term a --term argument names, typechecked against ``sig``; its
+    type is kept, so typechecking it again against ``sig`` walks nothing."""
     if os.path.exists(spec):
         try:
             with open(spec, "r", encoding="utf-8") as fh:
@@ -114,7 +115,7 @@ def _load_term(spec: str, sig: Signature):
         text = spec
         context = "term"
     with _blamed(context):
-        return parse_typed_term(text, sig)
+        return parse_term(text, sig)
 
 
 def _emit(payload, as_json: bool, text: str | None = None) -> None:
@@ -143,8 +144,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_eval(args) -> int:
     interp = _load_interpretation(args.sig, args.algebra)
-    term, _, _ = _load_term(args.term, interp.sig)
-    result = eval_typed_term(term, interp)
+    result = eval_term(_load_term(args.term, interp.sig), interp)
     print(json.dumps(matrix_to_json(result)))
     return 0
 
@@ -201,8 +201,9 @@ def _cmd_fusion(args) -> int:
 
 def _cmd_recon(args) -> int:
     interp = _load_interpretation("bord2", args.algebra)
-    term, src, tgt = _load_term(args.term, interp.sig)
-    direct = eval_typed_term(term, interp)
+    term = _load_term(args.term, interp.sig)
+    src, tgt = typecheck(term, interp.sig)
+    direct = eval_term(term, interp)
     rebuilt = reconstruct_map(bend_value(direct, src, interp), src, tgt, interp)
     agree = direct == rebuilt
     payload = {

@@ -70,8 +70,7 @@ class DualPair:
 
     ``interpretation`` sends coev, ev of ``bord1_signature`` to b, d.  The
     constructor checks shapes and snakes on it and keeps it, shared by
-    every later check (do not mutate it); it takes no part in equality,
-    hashing or ``repr``.
+    every later check; it takes no part in equality, hashing or ``repr``.
     """
 
     dim_u: int

@@ -5,14 +5,14 @@ and a matrix of shape dim(target) x dim(source) to every morphism
 generator.  Evaluation is the one ``terms.fold``, with no recursion.  Its
 values are legs ``(l, a, r)`` standing for I_l (x) a (x) I_r: identity
 legs are index maps, not matrices.  A generator is ``(1, matrix, 1)``, an
-identity ``(dim, [1], 1)`` and a swap the block-transposition permutation
-of its two word dimensions.  A tensor with an identity factor widens the
-other factor's legs.  ``s ; t`` applies eval(t) to eval(s) with
-``exactlin.padded_matmul`` and keeps the identity legs the two share
-(I_g (x) x (x) I_h with g and h the gcds of their legs) as legs of the
-result.  Only a tensor of two non-identity factors builds a Kronecker
-product, and a value is built as a matrix only at the root, where its
-legs are applied to an identity by the same kernel.
+identity ``(dim, [1], 1)`` and a swap ``(1, p, 1)`` with p the
+block-transposition permutation of its two word dimensions.  A tensor
+with an identity factor widens the other factor's legs.  ``s ; t``
+applies eval(t) to eval(s) with ``exactlin.padded_matmul`` and keeps the
+identity legs the two share (I_g (x) x (x) I_h with g and h the gcds of
+their legs) as legs of the result.  Only a tensor of two non-identity
+factors builds a Kronecker product, and a value with identity legs is
+built as a matrix only at the root, by the same kernel.
 
 ``relation_values`` yields each relation with the values of its two
 sides, each distinct side evaluated once; ``check_relations`` reports the
@@ -37,13 +37,14 @@ by the interpretation (``Interpretation.word_duality``), so bending or
 reconstructing again along the same word costs one product and one
 reshape.  ``typecheck`` keeps each term's type per signature, so
 ``eval_term`` and ``bend_state`` walk a term they have typechecked
-before only to evaluate it.
+before (``parse_term`` typechecks what it parses) only to evaluate it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from types import MappingProxyType
 from typing import Iterator, Mapping, Optional
 
 from .exactlin import Matrix, ShapeError, kron, matmul, padded_matmul, scalar_to_str, swap_matrix
@@ -71,7 +72,6 @@ __all__ = [
     "bend_value",
     "check_relations",
     "eval_term",
-    "eval_typed_term",
     "naturality_failures",
     "reconstruct_map",
     "relation_values",
@@ -90,7 +90,7 @@ class Interpretation:
     terms (copairing, pairing), each read as a dim x dim matrix, evaluated
     when the interpretation is built.  A word's copairing and pairing are
     built on first use and kept for the interpretation's lifetime
-    (``word_duality``)."""
+    (``word_duality``); ``obj_dim`` and ``gen_matrix`` are read-only views."""
 
     def __init__(
         self,
@@ -99,8 +99,8 @@ class Interpretation:
         gen_matrix: Mapping[str, Matrix],
     ):
         self.sig = sig
-        self.obj_dim = dict(obj_dim)
-        self.gen_matrix = dict(gen_matrix)
+        self.obj_dim = MappingProxyType(dict(obj_dim))
+        self.gen_matrix = MappingProxyType(dict(gen_matrix))
         for label in sig.g0:
             d = self.obj_dim.get(label)
             if not isinstance(d, int) or d < 1:
@@ -154,65 +154,48 @@ def eval_term(t: Term, interp: Interpretation) -> Matrix:
     return _eval(t, interp)
 
 
-def eval_typed_term(t: Term, interp: Interpretation) -> Matrix:
-    """``eval_term`` for a term already typechecked against ``interp.sig``
-    (by ``parse_typed_term``, say), which is not typechecked again."""
-    return _eval(t, interp)
-
-
-# A value is a matrix, or legs ``(l, a, r)`` standing for I_l (x) a (x) I_r
-# with l or r above 1.  An identity is ``(n, _ONE, 1)``, or ``_ONE`` itself.
 _ONE = Matrix.scalar(1)
 
 
 def _eval(t: Term, interp: Interpretation) -> Matrix:
     """Evaluate a well-typed term by one ``fold`` and build its value."""
-    value = fold(t, _value_leaf, _value_combine, interp)
-    if type(value) is Matrix:
-        return value
-    la, a, ra = value
+    la, a, ra = fold(t, _value_leaf, _value_combine, interp)
+    if la == ra == 1:
+        return a
     # the padded a, as the identity on its rows times the legs
     return padded_matmul(la * a.rows * ra, _ONE, 1, la, a, ra)
 
 
-def _value_leaf(t: Term, interp: Interpretation):
+def _value_leaf(t: Term, interp: Interpretation) -> tuple[int, Matrix, int]:
     kind = type(t)
     if kind is Gen:
-        return interp.gen_matrix[t.name]
+        return 1, interp.gen_matrix[t.name], 1
     if kind is Id:
         return interp.dim(t.word), _ONE, 1
     if kind is Swap:
-        return swap_matrix(interp.dim(t.left), interp.dim(t.right))
+        return 1, swap_matrix(interp.dim(t.left), interp.dim(t.right)), 1
     raise TypeError(f"not a term: {t!r}")
 
 
-def _value_combine(t: Term, first, second, interp: Interpretation):
-    compose = type(t) is Compose
-    if type(first) is Matrix and type(second) is Matrix:
-        return matmul(second, first) if compose else kron(first, second)
-    l1, a, r1 = (1, first, 1) if type(first) is Matrix else first
-    l2, b, r2 = (1, second, 1) if type(second) is Matrix else second
-    if compose:
+def _value_combine(t: Term, first, second, interp: Interpretation) -> tuple[int, Matrix, int]:
+    (l1, a, r1), (l2, b, r2) = first, second
+    if type(t) is Compose:
         # eval(then) . eval(first); identity legs common to both stay legs
         if b is _ONE:
             return first
         if a is _ONE:
             return second
         lg, rg = gcd(l1, l2), gcd(r1, r2)
-        return _legs(lg, padded_matmul(l2 // lg, b, r2 // rg, l1 // lg, a, r1 // rg), rg)
+        return lg, padded_matmul(l2 // lg, b, r2 // rg, l1 // lg, a, r1 // rg), rg
     if b is _ONE:
-        return _legs(l1, a, r1 * l2 * r2)
+        return l1, a, r1 * l2 * r2
     if a is _ONE:
-        return _legs(l1 * r1 * l2, b, r2)
+        return l1 * r1 * l2, b, r2
     # two non-identity factors: I_l1 (x) (a (x) I_k (x) b) (x) I_r2
     k = r1 * l2
     if k != 1:
         a = padded_matmul(a.rows * k, _ONE, 1, 1, a, k)
-    return _legs(l1, kron(a, b), r2)
-
-
-def _legs(l: int, m: Matrix, r: int):
-    return m if l == r == 1 else (l, m, r)
+    return l1, kron(a, b), r2
 
 
 @dataclass(frozen=True)
@@ -262,8 +245,8 @@ class RelationReport:
 
 def relation_values(interp: Interpretation) -> Iterator[tuple[Relation, Matrix, Matrix]]:
     """Each relation with the values of its two sides, each distinct side
-    of the signature evaluated once and none typechecked or hashed (the
-    signature typechecked them and indexed them)."""
+    of the signature evaluated once and none typechecked or compared (the
+    signature typechecked them and indexed its distinct sides by term)."""
     values = [_eval(side, interp) for side in interp.sig.sides]
     for rel, (lhs, rhs) in zip(interp.sig.g2, interp.sig.side_pairs):
         yield rel, values[lhs], values[rhs]

@@ -531,8 +531,9 @@ def integer_from_json(x) -> int:
 
 
 def scalar_from_str(s: Union[str, int]) -> Fraction:
+    """``s`` as an exact rational; a boolean or a float that is no integer is malformed."""
     try:
-        return Fraction(s)
+        return Fraction(integer_from_json(s) if isinstance(s, (bool, float)) else s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational scalar: {s!r}") from exc
 

@@ -191,9 +191,8 @@ class FrobeniusAlgebra:
     dim x dim^2, eta dim x 1, delta dim^2 x dim, eps 1 x dim).  The
     constructor checks them by building ``interpretation``, which raises
     ShapeError naming the generator, and keeps it, shared by every later
-    check (do not mutate it); it takes no part in equality, hashing or
-    ``repr``.  Only shapes are enforced here; the axioms are a separate,
-    reportable check.
+    check; it takes no part in equality, hashing or ``repr``.  Only
+    shapes are enforced here; the axioms are a separate, reportable check.
     """
 
     dim: int

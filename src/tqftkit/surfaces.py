@@ -27,9 +27,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .dualpairs import DualPair
-from .evaluate import Interpretation, check_relations, eval_term
+from .evaluate import Interpretation, eval_term
 from .exactlin import Matrix, matmul
-from .frobenius import AxiomReport, FrobeniusAlgebra, bord2_signature
+from .frobenius import FrobeniusAlgebra, bord2_signature, check_axioms
 from .terms import Compose, Gen, Term, render_term
 
 __all__ = [
@@ -54,11 +54,10 @@ def frobenius_interpretation(alg: FrobeniusAlgebra) -> Interpretation:
 
     Requires all axioms including commutativity; a commutative Frobenius
     algebra passes every relation of the signature, a noncommutative one
-    fails exactly the two R4 pairs.  The relations are checked once and
-    the gate reads the axioms off that report.
+    fails exactly the two R4 pairs.  The gate reads the axioms off
+    ``check_axioms``.
     """
-    interp = alg.interpretation
-    report = AxiomReport.from_relations(check_relations(interp))
+    report = check_axioms(alg)
     if not report.is_frobenius:
         bad = [k for k, v in report.to_json().items() if not v and k != "commutative"]
         raise ValueError(f"not a Frobenius algebra, failing axioms: {', '.join(bad)}")
@@ -66,7 +65,7 @@ def frobenius_interpretation(alg: FrobeniusAlgebra) -> Interpretation:
         raise NotCommutative(
             "algebra is not commutative; the R4 relations would fail"
         )
-    return interp
+    return alg.interpretation
 
 
 def genus_term(genus: int) -> Term:

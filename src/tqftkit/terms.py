@@ -20,22 +20,22 @@ whitespace is insignificant.  Swap arguments of more than one label must
 be parenthesized, since bare commas already separate the two arguments;
 single-label swaps look like ``swap[S1,S1]``.
 
-Typing, evaluating and rendering extend values on the leaves
-(generators, identities, swaps) along tensors and compositions, each by
-one ``fold``: a depth-first, left-to-right, post-order walk from an
-explicit stack, so term depth is bounded by memory, not by the recursion
-limit.  Leaves come in reading order and a node right after its second
-factor; error paths name the first offending subterm in this order.
-Rendering records per leaf its text, separator and parentheses and joins
-them once, so it takes time linear in the length of the text.
+Typing, evaluating, rendering, comparing and hashing extend values on
+the leaves (generators, identities, swaps) along tensors and
+compositions, each by one ``fold``: a depth-first, left-to-right,
+post-order walk from an explicit stack, so term depth is bounded by
+memory, not by the recursion limit.  Leaves come in reading order and a
+node right after its second factor; error paths name the first offending
+subterm in this order.  Rendering records per leaf its text, separator
+and parentheses and joins them once, in time linear in the text's length.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 ObjectWord = tuple[str, ...]
 
@@ -60,7 +60,6 @@ __all__ = [
     "UnknownObject",
     "fold",
     "parse_term",
-    "parse_typed_term",
     "render_term",
     "render_word",
     "signature_from_json",
@@ -119,9 +118,9 @@ def _fmt_path(path: tuple[str, ...]) -> str:
     return "term" + "".join("." + p for p in path)
 
 
-@dataclass(frozen=True)
 class _Node:
-    """Base of the term classes.
+    """Base of the term classes, equal when their structure is: ``==``
+    and ``hash`` read ``_key``, built by one ``fold``, never recursing.
 
     ``_typed`` is ``(weak reference to a signature, (source, target))``,
     stored by the last successful ``typecheck`` of this node as a root.
@@ -129,7 +128,15 @@ class _Node:
     nothing at construction (the class attribute holds its default).
     """
 
-    _typed: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
+    _typed = None
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, _Node):
+            return NotImplemented
+        return self is other or (type(self) is type(other) and _key(self) == _key(other))
+
+    def __hash__(self) -> int:
+        return hash(_key(self))
 
     def __getstate__(self) -> dict:
         # a weak reference cannot be pickled, and a copy can be typechecked again
@@ -138,23 +145,23 @@ class _Node:
         return state
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gen(_Node):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Id(_Node):
     word: ObjectWord
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Swap(_Node):
     left: ObjectWord
     right: ObjectWord
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Compose(_Node):
     """Diagrammatic composite: ``first`` then ``then``."""
 
@@ -162,7 +169,7 @@ class Compose(_Node):
     then: "Term"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tensor(_Node):
     left: "Term"
     right: "Term"
@@ -197,8 +204,8 @@ class Signature:
     that every relation side type-checks with identical endpoints, and
     that any designated duality terms have the shapes ``() -> (x, x)``
     and ``(x, x) -> ()``.  ``sides`` lists the distinct relation sides
-    in first-seen order and ``side_pairs[k]`` the indices of relation
-    k's two sides in it, so an evaluator need never hash a term.
+    (by ``==``) in first-seen order and ``side_pairs[k]`` the indices of
+    relation k's two sides in it, so an evaluator need never hash a term.
     """
 
     def __init__(
@@ -231,7 +238,7 @@ class Signature:
             for label in src + tgt:
                 if label not in self.g0:
                     raise UnknownObject(label)
-        index: dict[str, int] = {}  # by rendered text, since term hashing recurses
+        index: dict[Term, int] = {}
         sides, pairs = [], []
         for rel in self.g2:
             ls, lt = typecheck(rel.lhs, self)
@@ -242,7 +249,7 @@ class Signature:
                     f"({render_word(ls)})->({render_word(lt)}) vs "
                     f"({render_word(rs)})->({render_word(rt)})"
                 )
-            pair = tuple(index.setdefault(render_term(side), len(index)) for side in (rel.lhs, rel.rhs))
+            pair = tuple(index.setdefault(side, len(index)) for side in (rel.lhs, rel.rhs))
             for k, side in zip(pair, (rel.lhs, rel.rhs)):
                 if k == len(sides):
                     sides.append(side)
@@ -298,6 +305,21 @@ def fold(t: Term, leaf, combine, ctx):
         else:
             values.append(leaf(node, ctx))
     return values[0]
+
+
+def _key(t: Term) -> tuple:
+    """``t`` as a flat tuple in walk order of each leaf's kind and fields and
+    each node's kind, which determines ``t``, as the arities are known."""
+    key: list = []
+    fold(t, _key_leaf, lambda node, first, second, out: out.append(type(node)), key)
+    return tuple(key)
+
+
+def _key_leaf(t: Term, key: list) -> None:
+    kind = type(t)
+    if kind not in (Gen, Id, Swap):
+        raise TypeError(f"not a term: {t!r}")
+    key.append((kind, *[getattr(t, name) for name in kind.__match_args__]))  # its dataclass fields
 
 
 def typecheck(t: Term, sig: Signature) -> tuple[ObjectWord, ObjectWord]:
@@ -503,14 +525,10 @@ def _describe(tok) -> str:
 
 
 def parse_term(text: str, sig: Signature) -> Term:
-    """Parse a DSL term and type-check it against the signature."""
-    return parse_typed_term(text, sig)[0]
-
-
-def parse_typed_term(text: str, sig: Signature) -> tuple[Term, ObjectWord, ObjectWord]:
-    """``parse_term`` that also returns the term's source and target."""
+    """Parse a DSL term and type-check it against ``sig``, which keeps its type."""
     t = _Parser(text).parse()
-    return (t, *typecheck(t, sig))
+    typecheck(t, sig)
+    return t
 
 
 # --- rendering -------------------------------------------------------------

@@ -335,6 +335,27 @@ class TestErrorDiagnostics:
                                 "--algebra", str(path))
         self.one_error_line(code, out, err, "frac_pair.json", "malformed dual pair JSON", "2.5")
 
+    @pytest.mark.parametrize("key", ["mu", "eta", "delta", "eps", "pairing"])
+    @pytest.mark.parametrize("bad", ["1e999", "true", "0.1"])
+    def test_algebra_json_with_inexact_scalar(self, capout, tmp_path, key, bad):
+        # 1e999 used to end in an OverflowError traceback with exit 1, true
+        # to read as 1 and 0.1 as the nearest binary fraction
+        obj = {"dim": 1, "mu": [["1"]], "eta": ["1"], "delta": [["1"]], "eps": ["1"]}
+        if key == "pairing":
+            del obj["delta"], obj["eps"]
+        obj[key] = [[bad]] if key in ("mu", "delta", "pairing") else [bad]
+        path = tmp_path / "inexact.json"
+        path.write_text(json.dumps(obj).replace(f'"{bad}"', bad))
+        code, out, err = capout("check", "--algebra", str(path))
+        self.one_error_line(code, out, err, "inexact.json", "not a rational scalar")
+
+    def test_dual_pair_json_with_inexact_scalar(self, capout, tmp_path):
+        path = tmp_path / "inexact_pair.json"
+        path.write_text('{"dimU": 1, "dimV": 1, "b": [1e999], "d": ["1"]}')
+        code, out, err = capout("eval", "--sig", "bord1", "--term", "coev ; swap[pp,pm] ; ev",
+                                "--algebra", str(path))
+        self.one_error_line(code, out, err, "inexact_pair.json", "not a rational scalar: inf")
+
     def test_interpretation_json_with_fractional_dimension(self, capout, tmp_path):
         sig = tmp_path / "sig.json"
         sig.write_text('{"objects": ["a"], "generators": {}, "relations": []}')
@@ -428,26 +449,28 @@ class TestLastResort:
 
 class TestWorkDoneOnce:
     def test_recon_typechecks_and_evaluates_its_term_once(self, capout, monkeypatch):
+        # counted as walks of the term: a typecheck that finds the kept
+        # type walks nothing, so calls to typecheck are not work done
         text = "pants ; copants ; id[S1] * cup ; copants"
         term = terms.parse_term(text, bord2_signature())
-        typechecked, evaluated = [], []
-        real_typecheck, real_eval = terms.typecheck, evaluate._eval
+        type_walks, evaluated = [], []
+        real_fold, real_eval = terms.fold, evaluate._eval
 
-        def counting_typecheck(t, sig):
-            typechecked.append(t)
-            return real_typecheck(t, sig)
+        def counting_fold(t, leaf, combine, ctx):
+            if leaf is terms._type_leaf:
+                type_walks.append(t)
+            return real_fold(t, leaf, combine, ctx)
 
         def counting_eval(t, interp):
             evaluated.append(t)
             return real_eval(t, interp)
 
-        for module in (terms, evaluate):
-            monkeypatch.setattr(module, "typecheck", counting_typecheck)
+        monkeypatch.setattr(terms, "fold", counting_fold)
         monkeypatch.setattr(evaluate, "_eval", counting_eval)
         code, out, _ = capout("recon", "--algebra", "milnor:4", "--term", text)
         assert code == 0 and "agree: true" in out
         # building the algebra evaluates its relation sides and dualities
-        assert [t for t in typechecked if t == term] == [term]
+        assert [t for t in type_walks if t == term] == [term]
         assert [t for t in evaluated if t == term] == [term]
 
 

@@ -105,6 +105,17 @@ class TestKeptInterpretation:
         with pytest.raises(ShapeError, match="generator 'cup'"):
             dataclasses.replace(z2, eps=Matrix.zeros(1, 3))
 
+    def test_interpretation_is_read_only(self, z2):
+        # a write would leave the kept dualities stale: to_economy would
+        # return the old pairing of an algebra that no longer passes
+        interp = z2.interpretation
+        with pytest.raises(TypeError):
+            interp.gen_matrix["cup"] = z2.eps.scale(2)
+        with pytest.raises(TypeError):
+            interp.obj_dim["S1"] = 3
+        assert interp.gen_matrix["cup"] == z2.eps and interp.obj_dim == {"S1": 2}
+        assert check_axioms(z2).is_frobenius
+
     def test_interpretation_holds_the_circle_duality(self, z2):
         copairing, pairing = z2.interpretation.duality["S1"]
         assert copairing == matmul(z2.delta, z2.eta).reshape(2, 2)

@@ -347,7 +347,8 @@ class TestRoundTrip:
         for sig in (bord2_signature(), parser_signature()):
             for _ in range(500):
                 t = random_term(rng, sig, rng.randint(1, 6))
-                assert parse_term(render_term(t), sig) == t
+                twin = parse_term(render_term(t), sig)
+                assert twin == t and hash(twin) == hash(t)
 
     def test_nesting_needs_parens(self):
         sig = bord2_signature()
@@ -355,6 +356,22 @@ class TestRoundTrip:
         right = Compose(Gen("cap"), Compose(Gen("copants"), Gen("pants")))
         assert render_term(left) != render_term(right)
         assert parse_term(render_term(right), sig) == right
+
+
+class TestEquality:
+    def test_kind_and_fields_decide_equality(self):
+        a, b = Gen("a"), Gen("b")
+        unequal = [
+            (Compose(a, b), Tensor(a, b)),
+            (Gen("a"), Id(("a",))),
+            (Swap(("a",), ()), Swap((), ("a",))),
+            (Tensor(Tensor(a, b), a), Tensor(a, Tensor(b, a))),
+            (Compose(a, b), Compose(b, a)),
+        ]
+        for left, right in unequal:
+            assert left != right and not left == right
+        assert Gen("a") != "a" and Id(()) != ()
+        assert len({Gen("a"), Gen("a"), Id(("a",)), Compose(Gen("a"), Gen("a"))}) == 3
 
 
 class TestSignature:

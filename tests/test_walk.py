@@ -3,12 +3,15 @@ deep and wide terms at the default recursion limit, deep relation sides
 in signature JSON, and the structure built once around it."""
 
 import ast
+import importlib
 import json
 import pathlib
+import pkgutil
 import sys
 
 import pytest
 
+import tqftkit
 from tqftkit import dualpairs, frobenius, terms
 from tqftkit.algebras import trivial_algebra
 from tqftkit.cli import run
@@ -78,7 +81,11 @@ class TestFold:
 
     def test_non_terms_are_rejected_by_every_walk(self):
         interp = trivial_algebra().interpretation
-        for walk in (lambda t: typecheck(t, interp.sig), lambda t: eval_term(t, interp), render_term):
+        walks = (
+            lambda t: typecheck(t, interp.sig), lambda t: eval_term(t, interp), render_term,
+            hash, lambda t: t == Compose(Gen("cap"), Gen("cup")),
+        )
+        for walk in walks:
             with pytest.raises(TypeError, match="not a term"):
                 walk(Compose(Gen("cap"), "cup"))
 
@@ -109,6 +116,13 @@ class TestDeepTerms:
         for t in (genus_term(DEEP), wide_tensor(WIDE)):
             text = render_term(t)
             assert render_term(parse_term(text, sig)) == text
+            assert parse_term(text, sig) == t
+
+    def test_deep_and_wide_terms_compare_and_hash(self):
+        for build in (genus_term, wide_tensor):
+            t, twin, other = build(DEEP), build(DEEP), build(DEEP - 1)
+            assert t == twin and not t != twin and hash(t) == hash(twin)
+            assert t != other and not t == other
 
     def test_deep_unknown_generator_error_path(self):
         t = Gen("trousers")
@@ -169,13 +183,14 @@ class TestDeepSignatures:
         out, err = capsys.readouterr()
         assert code == 1 and err == "" and genus_text(1500) in out
 
-    def test_relation_sides_are_indexed_by_rendered_text(self):
+    def test_relation_sides_are_indexed_by_term(self):
         sig = bord2_signature()
         # bord2 spells some sides twice as equal but distinct objects
-        assert len(sig.sides) == 16
+        assert len(sig.sides) == 16 and len(set(sig.sides)) == 16
         texts = [render_term(side) for side in sig.sides]
         assert len(set(texts)) == 16
         for rel, (lhs, rhs) in zip(sig.g2, sig.side_pairs):
+            assert (sig.sides[lhs], sig.sides[rhs]) == (rel.lhs, rel.rhs)
             assert (texts[lhs], texts[rhs]) == (render_term(rel.lhs), render_term(rel.rhs))
 
 
@@ -242,6 +257,12 @@ def source_faults(path):
                 faults.append(f"{path.name}:{call.lineno}: {node.name} calls itself")
                 break
     return faults
+
+
+def test_every_exported_name_resolves():
+    modules = [tqftkit, *(importlib.import_module(f"tqftkit.{m.name}") for m in pkgutil.iter_modules([str(SRC)]))]
+    missing = [f"{m.__name__}.{name}" for m in modules for name in m.__all__ if not hasattr(m, name)]
+    assert len(modules) > 1 and missing == []
 
 
 def test_source_has_no_assert_and_no_recursion():
