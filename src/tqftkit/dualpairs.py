@@ -27,12 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 
-from .evaluate import Interpretation, check_relations, eval_term, naturality_failures
+from .evaluate import Interpretation, check_relations, eval_term, naturality_failures, sandwich_inverse
 from .exactlin import (
     Matrix,
     ShapeError,
     integer_from_json,
-    matmul,
     matrix_from_json,
     matrix_to_json,
     scalar_from_str,
@@ -131,26 +130,19 @@ def dp_morphism_inverse(p: DualPair, q: DualPair, f: Matrix, g: Matrix) -> tuple
     The inverse of f threads b_p through g and contracts with d_q, and
     dually for g; no Gaussian elimination is involved.  With B_p and D_q
     the copairing and pairing read as u_p x v_p and v_q x u_q matrices,
-    f^-1 = B_p . g^T . D_q and g^-1 = (D_q . f . B_p)^T.  Morphisms of
-    dual pairs are automatically invertible, so once the morphism
-    conditions hold the sandwich is guaranteed to be a two-sided inverse;
-    that is verified before returning, and AssertionError names the
-    composite that is not the identity.
+    f^-1 = B_p . g^T . D_q and g^-1 = (D_q . f . B_p)^T = B_p^T . f^T . D_q^T:
+    the one sandwich of ``morphism_inverse``, taken twice.  Morphisms of dual
+    pairs are automatically invertible, so each sandwich is a two-sided
+    inverse once the morphism conditions hold; that is verified, and
+    AssertionError names a composite that is not the identity.
     """
     if not dp_morphism_check(p, q, f, g):
         raise ValueError("(f, g) is not a morphism of dual pairs")
     b_p = p.b.reshape(p.dim_u, p.dim_v)
     d_q = q.d.reshape(q.dim_v, q.dim_u)
-    f_inv = matmul(b_p, matmul(g.transpose(), d_q))
-    g_inv = matmul(d_q, matmul(f, b_p)).transpose()
-    for name, composite in (
-        ("f_inv . f", matmul(f_inv, f)),
-        ("f . f_inv", matmul(f, f_inv)),
-        ("g_inv . g", matmul(g_inv, g)),
-        ("g . g_inv", matmul(g, g_inv)),
-    ):
-        if not composite.is_identity():
-            raise AssertionError(f"dp_morphism_inverse: {name} is not the identity")
+    where = "dp_morphism_inverse"
+    f_inv = sandwich_inverse(b_p, g, d_q, f, where, ("f_inv", "f"))
+    g_inv = sandwich_inverse(b_p.transpose(), f, d_q.transpose(), g, where, ("g_inv", "g"))
     return f_inv, g_inv
 
 

@@ -14,15 +14,16 @@ their legs) as legs of the result.  Only a tensor of two non-identity
 factors builds a Kronecker product, and a value with identity legs is
 built as a matrix only at the root, by the same kernel.
 
-``relation_values`` yields each relation with the values of its two
-sides, each distinct side evaluated once; ``check_relations`` reports the
-first entry where they differ.  The Frobenius axioms, the Zorro moves and
-the fusion-ring laws are all relations evaluated here.
+``check_relations`` evaluates each distinct side once, and each check
+keeps its relation's two side values; text is made only when a check is
+printed.  The Frobenius axioms, the Zorro moves and the fusion-ring laws
+are all relations checked here, and every law reader reads that report.
 
 A morphism of interpretations is a monoidal natural transformation: one
 component per object label, natural at every generator.  The Frobenius
 and dual-pair morphism checks are both one call of ``naturality_failures``,
-which applies a word's components one leg at a time.
+which applies a word's components one leg at a time; their inverses are
+the one duality sandwich ``b . g^T . d`` of ``sandwich_inverse``.
 
 The closed-state calculus: ``bend_state`` turns a map E -> F into a
 state () -> F . E* with the designated coevaluation of E, and
@@ -45,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 from types import MappingProxyType
-from typing import Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
 from .exactlin import Matrix, ShapeError, kron, matmul, padded_matmul, scalar_to_str, swap_matrix
 from .terms import (
@@ -74,7 +75,6 @@ __all__ = [
     "eval_term",
     "naturality_failures",
     "reconstruct_map",
-    "relation_values",
 ]
 
 
@@ -120,6 +120,10 @@ class Interpretation:
             d = self.obj_dim[label]
             self.duality[label] = tuple(_eval(t, self).reshape(d, d) for t in (data.coev, data.pairing))
         self._word_dualities: dict[tuple[ObjectWord, bool], Matrix] = {}
+
+    def __reduce__(self):
+        # pickle and deepcopy rebuild from the signature and generator values
+        return Interpretation, (self.sig, dict(self.obj_dim), dict(self.gen_matrix))
 
     def dim(self, word: ObjectWord) -> int:
         d = 1
@@ -200,9 +204,20 @@ def _value_combine(t: Term, first, second, interp: Interpretation) -> tuple[int,
 
 @dataclass(frozen=True)
 class RelationCheck:
+    """A relation, the values of its two sides and whether they are equal."""
+
     relation: Relation
     ok: bool
-    mismatch: Optional[tuple[int, int, str, str]]  # (row, col, lhs, rhs)
+    lhs: Matrix
+    rhs: Matrix
+
+    @property
+    def mismatch(self) -> Optional[tuple[int, int, str, str]]:
+        """(row, col, lhs, rhs) at the first differing entry, found and printed when read."""
+        if self.ok:
+            return None
+        i, j = divmod(self.lhs.first_difference(self.rhs), self.lhs.cols)
+        return i, j, scalar_to_str(self.lhs.entry(i, j)), scalar_to_str(self.rhs.entry(i, j))
 
     def describe(self) -> str:
         if self.ok:
@@ -243,26 +258,14 @@ class RelationReport:
         }
 
 
-def relation_values(interp: Interpretation) -> Iterator[tuple[Relation, Matrix, Matrix]]:
-    """Each relation with the values of its two sides, each distinct side
-    of the signature evaluated once and none typechecked or compared (the
-    signature typechecked them and indexed its distinct sides by term)."""
-    values = [_eval(side, interp) for side in interp.sig.sides]
-    for rel, (lhs, rhs) in zip(interp.sig.g2, interp.sig.side_pairs):
-        yield rel, values[lhs], values[rhs]
-
-
 def check_relations(interp: Interpretation) -> RelationReport:
-    """Compare both sides of every relation pair; failures are data."""
-    checks = []
-    for rel, lhs, rhs in relation_values(interp):
-        mismatch = None
-        differs = lhs.first_difference(rhs)
-        if differs is not None:
-            i, j = divmod(differs, lhs.cols)
-            mismatch = (i, j, scalar_to_str(lhs.entry(i, j)), scalar_to_str(rhs.entry(i, j)))
-        checks.append(RelationCheck(rel, mismatch is None, mismatch))
-    return RelationReport(tuple(checks))
+    """Compare both sides of every relation pair; failures are data.  Each
+    distinct side is evaluated once, untypechecked (the signature did that)."""
+    values = [_eval(side, interp) for side in interp.sig.sides]
+    return RelationReport(tuple(
+        RelationCheck(rel, values[lhs] == values[rhs], values[lhs], values[rhs])
+        for rel, (lhs, rhs) in zip(interp.sig.g2, interp.sig.side_pairs)
+    ))
 
 
 def naturality_failures(
@@ -298,6 +301,17 @@ def naturality_failures(
         if left != right:
             failures.append(name)
     return failures
+
+
+def sandwich_inverse(b: Matrix, g: Matrix, d: Matrix, f: Matrix, caller: str, names: tuple) -> Matrix:
+    """The duality sandwich ``b . g^T . d``, checked to be a two-sided inverse of
+    ``f``; AssertionError names the composite of ``names`` that is not the identity."""
+    inv = matmul(b, matmul(g.transpose(), d))
+    for left, right in ((inv, f), (f, inv)):
+        if not matmul(left, right).is_identity():
+            name = " . ".join(names if left is inv else names[::-1])
+            raise AssertionError(f"{caller}: {name} is not the identity")
+    return inv
 
 
 def bend_state(t: Term, interp: Interpretation) -> Matrix:

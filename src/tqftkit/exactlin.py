@@ -156,6 +156,10 @@ class Matrix:
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
+    def __reduce__(self):
+        # pickle and deepcopy rebuild from the canonical fields
+        return Matrix._new, (self.rows, self.cols, self.nz, self.den)
+
     @classmethod
     def _new(cls, rows: int, cols: int, nz: tuple, den: int = 1) -> "Matrix":
         """The matrix with these fields, which must already be canonical."""

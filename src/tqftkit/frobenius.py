@@ -44,7 +44,7 @@ from dataclasses import asdict, dataclass, field
 from functools import cache
 from typing import Optional, Sequence
 
-from .evaluate import Interpretation, RelationReport, check_relations, naturality_failures
+from .evaluate import Interpretation, RelationReport, check_relations, naturality_failures, sandwich_inverse
 from .exactlin import (
     Matrix,
     ShapeError,
@@ -332,18 +332,15 @@ def morphism_inverse(source: FrobeniusAlgebra, target: FrobeniusAlgebra, psi: Ma
 
     The copairing of the source is threaded through psi on its middle
     leg and contracted with the counit-product pairing of the target:
-    as matrices, copairing . psi^T . pairing.  Raises AssertionError
-    naming the composite if the result is not a two-sided inverse.
+    as matrices, copairing . psi^T . pairing, as in ``dp_morphism_inverse``.
+    AssertionError names the composite if it is not a two-sided inverse.
     """
     failing = check_morphism(source, target, psi)
     if failing is not None:
         raise NotAFrobeniusMorphism(failing)
     copairing = source.interpretation.duality["S1"][0]
-    inv = matmul(copairing, matmul(psi.transpose(), target.interpretation.duality["S1"][1]))
-    for name, composite in (("inv . psi", matmul(inv, psi)), ("psi . inv", matmul(psi, inv))):
-        if not composite.is_identity():
-            raise AssertionError(f"morphism_inverse: {name} is not the identity")
-    return inv
+    pairing = target.interpretation.duality["S1"][1]
+    return sandwich_inverse(copairing, psi, pairing, psi, "morphism_inverse", ("inv", "psi"))
 
 
 def admits_frobenius_form(dim: int, mu: Matrix, eta: Matrix) -> bool:

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .evaluate import Interpretation, relation_values
+from .evaluate import Interpretation, check_relations
 from .exactlin import Matrix, integer_from_json
 from .frobenius import BilinearPairing, FrobeniusAlgebra, _algebra_signature, _complete
 
@@ -113,8 +113,8 @@ def _validate(ring: FusionRing) -> tuple[FusionRingReport, Interpretation | None
         mu = Matrix.from_entries(r, r * r, {(k, i * r + j): v for (i, j, k), v in cells.items() if v})
         eta = Matrix.from_entries(r, 1, {(0, 0): 1})
         interp = Interpretation(_algebra_signature(_RING_LAWS), {"S1": r}, {"pants": mu, "cap": eta})
-        for rel, lhs, rhs in relation_values(interp):
-            differs[rel.name] = [divmod(x, lhs.cols) for x in lhs.differences(rhs)]
+        for c in check_relations(interp).checks:
+            differs[c.relation.name] = [divmod(x, c.lhs.cols) for x in c.lhs.differences(c.rhs)]
         units = [("left-unit", (j, k)) for k, j in differs["R2a_unit_left"]]
         units += [("right-unit", (j,)) for j in {j for _, j in differs["R2b_unit_right"]}]
         # by label; the stable sort keeps a label's left-unit witnesses first

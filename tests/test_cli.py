@@ -269,6 +269,19 @@ class TestErrorDiagnostics:
         assert (code, out) == (2, "")
         assert err == f"error: exact value too long to print: over {digit_limit} digits\n"
 
+    def test_failing_axioms_with_huge_entries(self, capout, digit_limit, tmp_path):
+        # the unit law fails at an entry of 8,001 digits: check prints no
+        # entry and reports it; relations refuses it in one line
+        path = tmp_path / "huge.json"
+        huge = "1" + "0" * 4000
+        path.write_text(json.dumps({"dim": 1, "mu": [[huge]], "eta": [huge], "delta": [["1"]], "eps": ["1"]}))
+        code, out, err = capout("check", "--algebra", str(path))
+        assert (code, err) == (1, "")
+        assert out == "assoc: ok\nunit: FAIL\ncoassoc: ok\ncounit: ok\nfrobenius: ok\ncommutative: ok\n"
+        code, out, err = capout("relations", "--algebra", str(path))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: ") and "huge.json" in err
+
     def test_missing_file(self, capout):
         code, _, err = capout("check", "--algebra", "nowhere/missing.json")
         assert code == 2

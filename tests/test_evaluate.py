@@ -1,14 +1,23 @@
 """Evaluation: functoriality, relation checking, bending and reconstruction."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import parser_signature, random_term
-from tqftkit.algebras import cyclic_group, group_algebra, milnor_ring, trivial_algebra
+from tqftkit.algebras import builtin_algebra, cyclic_group, group_algebra, milnor_ring, trivial_algebra
 from tqftkit import evaluate
-from tqftkit.dualpairs import dp_morphism_check, dp_morphism_inverse, loop_value, standard_pair
+from tqftkit.dualpairs import (
+    DualPair,
+    ZorroViolation,
+    dp_morphism_check,
+    dp_morphism_inverse,
+    loop_value,
+    standard_pair,
+)
 from tqftkit.evaluate import (
     Interpretation,
     MissingDuality,
@@ -18,7 +27,15 @@ from tqftkit.evaluate import (
     reconstruct_map,
 )
 from tqftkit.exactlin import Matrix, ShapeError, kron, matmul
-from tqftkit.frobenius import check_axioms, check_morphism, morphism_inverse
+from tqftkit.frobenius import (
+    BilinearPairing,
+    FrobeniusAlgebra,
+    NotUnital,
+    check_axioms,
+    check_morphism,
+    from_economy,
+    morphism_inverse,
+)
 from tqftkit.surfaces import bord2_signature, frobenius_interpretation, genus_term, reduce_along_circle
 from tqftkit.terms import Compose, Gen, Id, Swap, Tensor, parse_term, typecheck
 
@@ -147,8 +164,22 @@ class TestCheckRelations:
 
         unit = next(c for c in check_relations(line(Fraction(-1, 2))).checks if c.relation.name == "R2a_unit_left")
         assert unit.mismatch == (0, 0, "-1/2", "1")
-        with pytest.raises(ValueError, match=f"^exact value too long to print: over {digit_limit} digits$"):
-            check_relations(line(10**digit_limit))
+        # a failing entry too long to print fails only the printing
+        report = check_relations(line(10**digit_limit))
+        assert not report.ok and "R2a_unit_left" in report.failing()
+        unit = next(c for c in report.checks if c.relation.name == "R2a_unit_left")
+        for printed in (lambda: unit.mismatch, unit.describe, report.describe, report.to_json):
+            with pytest.raises(ValueError, match=f"^exact value too long to print: over {digit_limit} digits$"):
+                printed()
+
+    def test_checks_keep_both_side_values(self, z2_interp):
+        for check in check_relations(z2_interp).checks:
+            lhs, rhs = (eval_term(side, z2_interp) for side in (check.relation.lhs, check.relation.rhs))
+            assert (check.lhs, check.rhs, check.ok, check.mismatch) == (lhs, rhs, True, None)
+
+    def test_relation_values_is_gone(self):
+        assert not hasattr(evaluate, "relation_values")
+        assert "relation_values" not in evaluate.__all__
 
     def test_trivial_interpretation_passes(self):
         report = check_relations(frobenius_interpretation(trivial_algebra()))
@@ -159,6 +190,65 @@ class TestCheckRelations:
         assert obj["ok"] is True
         assert len(obj["relations"]) == 11
         assert all(r["mismatch"] is None for r in obj["relations"])
+
+
+class TestHugeFailingEntries:
+    """A dim-1 algebra whose unit law fails at an entry of 8,001 digits,
+    over the default limit of 4,300 on int-to-text conversion: the laws
+    are decided on values, so no check needs that entry as text."""
+
+    huge = Matrix.scalar(10**4000)
+    one = Matrix.scalar(1)
+
+    def test_dual_pair_raises_zorro_violation(self, digit_limit):
+        with pytest.raises(ZorroViolation) as err:
+            DualPair(1, 1, self.huge, self.huge)
+        assert err.value.side == "snake_pp"
+
+    def test_from_economy_raises_not_unital(self, digit_limit):
+        with pytest.raises(NotUnital):
+            from_economy(1, self.huge, self.huge, BilinearPairing(1, self.one))
+
+    def test_check_axioms_reports_the_unit_law(self, digit_limit):
+        alg = FrobeniusAlgebra(1, self.huge, self.huge, self.one, self.one)
+        report = check_axioms(alg)
+        assert not report.unit and not report.is_frobenius
+        assert report.assoc and report.coassoc and report.counit and report.frobenius and report.commutative
+
+
+def copies(value):
+    return pickle.loads(pickle.dumps(value)), copy.deepcopy(value)
+
+
+class TestPickleAndCopy:
+    VALUES = {
+        "matrix over 6": lambda: Matrix(2, 2, [Fraction(1, 3), 0, -2, Fraction(5, 6)]),
+        "z2": lambda: builtin_algebra("z2"),
+        "milnor:4": lambda: builtin_algebra("milnor:4"),
+        "standard_pair(3)": lambda: standard_pair(3),
+    }
+
+    @pytest.mark.parametrize("name", list(VALUES))
+    def test_round_trip_is_equal(self, name):
+        value = self.VALUES[name]()
+        for copied in copies(value):
+            assert copied == value and copied is not value
+
+    def test_bare_interpretation_round_trips(self, z2_interp):
+        for copied in copies(z2_interp):
+            assert copied is not z2_interp
+            assert (copied.sig.g0, copied.sig.g1, copied.sig.g2) == (
+                z2_interp.sig.g0, z2_interp.sig.g1, z2_interp.sig.g2
+            )
+            assert copied.obj_dim == z2_interp.obj_dim and copied.gen_matrix == z2_interp.gen_matrix
+            assert copied.duality == z2_interp.duality
+            assert check_relations(copied) == check_relations(z2_interp)
+
+    def test_axioms_pass_on_a_copy(self):
+        for alg in (builtin_algebra("z2"), builtin_algebra("milnor:4")):
+            for copied in copies(alg):
+                assert check_axioms(copied) == check_axioms(alg)
+                assert check_axioms(copied).is_frobenius
 
 
 class TestBending:
