@@ -12,7 +12,7 @@ The textual DSL::
     atom    := NAME | "id[" objword "]" | "swap[" swapword "," swapword "]"
              | "(" term ")"
     objword := "1" | NAME ("," NAME)*
-    swapword:= "1" | NAME | "(" NAME ("," NAME)* ")"
+    swapword:= "1" | NAME | "(" objword ")"
 
 ``t1 ; t2`` is diagrammatic composition (t1 first), ``*`` is the tensor
 product and binds tighter than ``;``, ``1`` is the empty word, and
@@ -20,14 +20,15 @@ whitespace is insignificant.  Swap arguments of more than one label must
 be parenthesized, since bare commas already separate the two arguments;
 single-label swaps look like ``swap[S1,S1]``.
 
-Typing, evaluating, rendering, comparing and hashing extend values on
-the leaves (generators, identities, swaps) along tensors and
-compositions, each by one ``fold``: a depth-first, left-to-right,
-post-order walk from an explicit stack, so term depth is bounded by
-memory, not by the recursion limit.  Leaves come in reading order and a
-node right after its second factor; error paths name the first offending
-subterm in this order.  Rendering records per leaf its text, separator
-and parentheses and joins them once, in time linear in the text's length.
+Typing, evaluating, rendering (so printing), comparing, hashing and
+pickling extend values on the leaves (generators, identities, swaps)
+along tensors and compositions, each by one ``fold``: a depth-first,
+left-to-right, post-order walk from an explicit stack, so term depth is
+bounded by memory, not by the recursion limit.  Leaves come in reading
+order and a node right after its second factor; error paths name the
+first offending subterm in this order.  Rendering records per leaf its
+text, separator and parentheses and joins them once, in time linear in
+the text's length.
 """
 
 from __future__ import annotations
@@ -119,8 +120,9 @@ def _fmt_path(path: tuple[str, ...]) -> str:
 
 
 class _Node:
-    """Base of the term classes, equal when their structure is: ``==``
-    and ``hash`` read ``_key``, built by one ``fold``, never recursing.
+    """Base of the term classes, equal when their structure is.  ``==``,
+    ``hash``, pickling and copying read ``_key``, built by one ``fold``,
+    and ``repr`` the rendered text, so none of them recurses.
 
     ``_typed`` is ``(weak reference to a signature, (source, target))``,
     stored by the last successful ``typecheck`` of this node as a root.
@@ -138,30 +140,30 @@ class _Node:
     def __hash__(self) -> int:
         return hash(_key(self))
 
-    def __getstate__(self) -> dict:
-        # a weak reference cannot be pickled, and a copy can be typechecked again
-        state = dict(self.__dict__)
-        state.pop("_typed", None)
-        return state
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {render_term(self)}>"
+
+    def __reduce__(self):
+        return _from_key, (_key(self),)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Gen(_Node):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Id(_Node):
     word: ObjectWord
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Swap(_Node):
     left: ObjectWord
     right: ObjectWord
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Compose(_Node):
     """Diagrammatic composite: ``first`` then ``then``."""
 
@@ -169,7 +171,7 @@ class Compose(_Node):
     then: "Term"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Tensor(_Node):
     left: "Term"
     right: "Term"
@@ -239,7 +241,7 @@ class Signature:
                 if label not in self.g0:
                     raise UnknownObject(label)
         index: dict[Term, int] = {}
-        sides, pairs = [], []
+        pairs = []
         for rel in self.g2:
             ls, lt = typecheck(rel.lhs, self)
             rs, rt = typecheck(rel.rhs, self)
@@ -249,12 +251,8 @@ class Signature:
                     f"({render_word(ls)})->({render_word(lt)}) vs "
                     f"({render_word(rs)})->({render_word(rt)})"
                 )
-            pair = tuple(index.setdefault(side, len(index)) for side in (rel.lhs, rel.rhs))
-            for k, side in zip(pair, (rel.lhs, rel.rhs)):
-                if k == len(sides):
-                    sides.append(side)
-            pairs.append(pair)
-        self.sides: tuple[Term, ...] = tuple(sides)
+            pairs.append(tuple(index.setdefault(side, len(index)) for side in (rel.lhs, rel.rhs)))
+        self.sides: tuple[Term, ...] = tuple(index)  # a dict keeps insertion order
         self.side_pairs: tuple[tuple[int, int], ...] = tuple(pairs)
         for label, data in self.duality.items():
             if label not in self.g0:
@@ -313,6 +311,18 @@ def _key(t: Term) -> tuple:
     key: list = []
     fold(t, _key_leaf, lambda node, first, second, out: out.append(type(node)), key)
     return tuple(key)
+
+
+def _from_key(key: tuple) -> Term:
+    """The term whose ``_key`` is ``key``, rebuilt from an explicit stack."""
+    built: list = []
+    for item in key:
+        if type(item) is tuple:
+            built.append(item[0](*item[1:]))
+        else:
+            second = built.pop()
+            built[-1] = item(built[-1], second)
+    return built[0]
 
 
 def _key_leaf(t: Term, key: list) -> None:
@@ -397,120 +407,110 @@ def _path_combine(t: Term, first, second, node: Term) -> list[str] | None:
 _PUNCT = {";", "*", "(", ")", "[", "]", ","}
 
 
-def _lex(text: str):
-    """Yield (kind, value, offset) tokens; kinds: NAME, ONE, punct, END."""
+def _lex(text: str) -> list[tuple[str, str, int]]:
+    """The (kind, value, offset) tokens of ``text``; kinds: NAME, ONE, punct, END."""
+    tokens = []
     i = 0
     n = len(text)
     while i < n:
         ch = text[i]
         if ch.isspace():
             i += 1
-            continue
-        if ch in _PUNCT:
-            yield (ch, ch, i)
+        elif ch in _PUNCT:
+            tokens.append((ch, ch, i))
             i += 1
-            continue
-        if ch == "1":
-            yield ("ONE", "1", i)
+        elif ch == "1":
+            tokens.append(("ONE", "1", i))
             i += 1
-            continue
-        if ch.isalpha() or ch == "_":
+        elif ch.isalpha() or ch == "_":
             j = i + 1
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            yield ("NAME", text[i:j], i)
+            tokens.append(("NAME", text[i:j], i))
             i = j
-            continue
-        raise LexicalError(i, f"unexpected character {ch!r}")
-    yield ("END", "", n)
+        else:
+            raise LexicalError(i, f"unexpected character {ch!r}")
+    tokens.append(("END", "", n))
+    return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = list(_lex(text))
-        self.pos = 0
+def _parse(text: str) -> Term:
+    """The term ``text`` denotes, without recursion: precedence climbing on
+    explicit stacks, per open parenthesis the ';' operands and the '*'
+    operands of the last."""
+    tokens = _lex(text)
+    pos = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
+    def take(*kinds):
+        # the next token, which must be of one of kinds
+        nonlocal pos
+        tok = tokens[pos]
+        if tok[0] not in kinds:
+            raise ParseError(tok[2], kinds, _describe(tok))
+        pos += 1
         return tok
 
-    def expect(self, kind: str):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ParseError(tok[2], [kind], _describe(tok))
-        return self.next()
-
-    def parse(self) -> Term:
-        # precedence climbing on explicit stacks, not recursion: per open
-        # parenthesis, the ';' operands and the '*' operands of the last
-        levels: list[tuple[list, list]] = [([], [])]
-        while True:
-            while self.peek()[0] == "(":
-                self.next()
-                levels.append(([], []))
-            levels[-1][1].append(self.atom())
-            tok = self.next()
-            while tok[0] == ")" and len(levels) > 1:
-                inner = _bracket_term(*levels.pop())
-                levels[-1][1].append(inner)
-                tok = self.next()
-            if tok[0] == ";":
-                composed, tensored = levels[-1]
-                composed.append(reduce(Tensor, tensored))
-                tensored.clear()
-            elif tok[0] != "*":
-                break
-        if len(levels) > 1:
-            raise ParseError(tok[2], [")"], _describe(tok))
-        if tok[0] != "END":
-            raise ParseError(tok[2], ["';'", "'*'", "end of input"], _describe(tok))
-        return _bracket_term(*levels[0])
-
-    def atom(self) -> Term:
-        tok = self.peek()
-        if tok[0] == "NAME":
-            self.next()
-            if tok[1] == "id":
-                self.expect("[")
-                word = self.objword()
-                self.expect("]")
-                return Id(word)
-            if tok[1] == "swap":
-                self.expect("[")
-                left = self.swapword()
-                self.expect(",")
-                right = self.swapword()
-                self.expect("]")
-                return Swap(left, right)
-            return Gen(tok[1])
-        raise ParseError(tok[2], ["NAME", "'id['", "'swap['", "'('"], _describe(tok))
-
-    def objword(self) -> ObjectWord:
-        tok = self.peek()
-        if tok[0] == "ONE":
-            self.next()
+    def objword() -> ObjectWord:
+        nonlocal pos
+        if tokens[pos][0] == "ONE":
+            pos += 1
             return ()
-        labels = [self.expect("NAME")[1]]
-        while self.peek()[0] == ",":
-            self.next()
-            labels.append(self.expect("NAME")[1])
+        labels = [take("NAME")[1]]
+        while tokens[pos][0] == ",":
+            pos += 1
+            labels.append(take("NAME")[1])
         return tuple(labels)
 
-    def swapword(self) -> ObjectWord:
-        tok = self.peek()
-        if tok[0] == "ONE":
-            self.next()
+    def swapword() -> ObjectWord:
+        nonlocal pos
+        kind = tokens[pos][0]
+        if kind == "ONE":
+            pos += 1
             return ()
-        if tok[0] == "(":
-            self.next()
-            word = self.objword()
-            self.expect(")")
+        if kind == "(":
+            pos += 1
+            word = objword()
+            take(")")
             return word
-        return (self.expect("NAME")[1],)
+        return (take("NAME")[1],)
+
+    levels: list[tuple[list, list]] = [([], [])]
+    while True:
+        while tokens[pos][0] == "(":
+            pos += 1
+            levels.append(([], []))
+        # only a NAME matches: '(' was read above, and 'id[' and 'swap[' start with one
+        name = take("NAME", "'id['", "'swap['", "'('")[1]
+        if name == "id":
+            take("[")
+            atom = Id(objword())
+            take("]")
+        elif name == "swap":
+            take("[")
+            left = swapword()
+            take(",")
+            atom = Swap(left, swapword())
+            take("]")
+        else:
+            atom = Gen(name)
+        levels[-1][1].append(atom)
+        while tokens[pos][0] == ")" and len(levels) > 1:
+            pos += 1
+            inner = _bracket_term(*levels.pop())
+            levels[-1][1].append(inner)
+        tok = tokens[pos]
+        pos += 1
+        if tok[0] == ";":
+            composed, tensored = levels[-1]
+            composed.append(reduce(Tensor, tensored))
+            tensored.clear()
+        elif tok[0] != "*":
+            break
+    if len(levels) > 1:
+        raise ParseError(tok[2], [")"], _describe(tok))
+    if tok[0] != "END":
+        raise ParseError(tok[2], ["';'", "'*'", "end of input"], _describe(tok))
+    return _bracket_term(*levels[0])
 
 
 def _bracket_term(composed: list, tensored: list) -> Term:
@@ -526,7 +526,7 @@ def _describe(tok) -> str:
 
 def parse_term(text: str, sig: Signature) -> Term:
     """Parse a DSL term and type-check it against ``sig``, which keeps its type."""
-    t = _Parser(text).parse()
+    t = _parse(text)
     typecheck(t, sig)
     return t
 

@@ -9,6 +9,8 @@ import sys
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import parser_signature, random_term
 from tqftkit import terms
@@ -24,6 +26,7 @@ from tqftkit.terms import (
     Signature,
     Swap,
     Tensor,
+    TermError,
     UnknownGenerator,
     UnknownObject,
     parse_term,
@@ -223,6 +226,14 @@ class TestKeptTypes:
         assert done.stdout == "1\n"
 
 
+# the DSL's tokens, names that bord2 does and does not know (one of them
+# non-ASCII), and two characters the lexer does not accept
+DSL_PIECES = [
+    "cap", "cup", "pants", "copants", "S1", "T", "id", "swap", "id[", "swap[",
+    "(", ")", "[", "]", ",", ";", "*", "1", " ", "_x", "$", "é", "2",
+]
+
+
 class TestParser:
     def test_simple_composition(self):
         sig = bord2_signature()
@@ -326,6 +337,140 @@ class TestParser:
         with pytest.raises(ParseError) as err:
             parse_term(text, bord2_signature())
         assert (err.value.offset, err.value.expected, err.value.found) == (offset, expected, found)
+
+    # literal outcomes, so any change to an offset, path or message fails:
+    # (text, exception type, offset, path, str) or (text, "ok", None, None, rendered)
+    @pytest.mark.parametrize(
+        "text, kind, offset, path, message",
+        [
+            ("cap ; c@p", "LexicalError", 7, None,
+             "lexical error at offset 7: unexpected character '@'"),
+            ("$", "LexicalError", 0, None, "lexical error at offset 0: unexpected character '$'"),
+            ("cap ; 2", "LexicalError", 6, None,
+             "lexical error at offset 6: unexpected character '2'"),
+            ("é$", "LexicalError", 1, None, "lexical error at offset 1: unexpected character '$'"),
+            ("id[S1] * cap ; #", "LexicalError", 15, None,
+             "lexical error at offset 15: unexpected character '#'"),
+            ("cap;\x00", "LexicalError", 4, None,
+             "lexical error at offset 4: unexpected character '\\x00'"),
+            ("cap\xa0;\xa0c!p", "LexicalError", 7, None,
+             "lexical error at offset 7: unexpected character '!'"),
+            ("(cap", "ParseError", 4, None,
+             "parse error at offset 4: expected one of {)}, found end of input"),
+            ("((cap)", "ParseError", 6, None,
+             "parse error at offset 6: expected one of {)}, found end of input"),
+            ("(cap ; cup", "ParseError", 10, None,
+             "parse error at offset 10: expected one of {)}, found end of input"),
+            ("cap)", "ParseError", 3, None,
+             "parse error at offset 3: expected one of {';', '*', end of input}, found ')'"),
+            (")", "ParseError", 0, None,
+             "parse error at offset 0: expected one of {NAME, 'id[', 'swap[', '('}, found ')'"),
+            ("(cap))", "ParseError", 5, None,
+             "parse error at offset 5: expected one of {';', '*', end of input}, found ')'"),
+            ("()", "ParseError", 1, None,
+             "parse error at offset 1: expected one of {NAME, 'id[', 'swap[', '('}, found ')'"),
+            ("(cap cup)", "ParseError", 5, None,
+             "parse error at offset 5: expected one of {)}, found 'cup'"),
+            ("(cap ; (cup", "ParseError", 11, None,
+             "parse error at offset 11: expected one of {)}, found end of input"),
+            ("id[]", "ParseError", 3, None,
+             "parse error at offset 3: expected one of {NAME}, found ']'"),
+            ("id[S1,]", "ParseError", 6, None,
+             "parse error at offset 6: expected one of {NAME}, found ']'"),
+            ("id[,S1]", "ParseError", 3, None,
+             "parse error at offset 3: expected one of {NAME}, found ','"),
+            ("id S1", "ParseError", 3, None,
+             "parse error at offset 3: expected one of {[}, found 'S1'"),
+            ("id", "ParseError", 2, None,
+             "parse error at offset 2: expected one of {[}, found end of input"),
+            ("id[S1", "ParseError", 5, None,
+             "parse error at offset 5: expected one of {]}, found end of input"),
+            ("id[1,S1]", "ParseError", 4, None,
+             "parse error at offset 4: expected one of {]}, found ','"),
+            ("id[(S1)]", "ParseError", 3, None,
+             "parse error at offset 3: expected one of {NAME}, found '('"),
+            ("swap[S1]", "ParseError", 7, None,
+             "parse error at offset 7: expected one of {,}, found ']'"),
+            ("swap[(S1,S1)", "ParseError", 12, None,
+             "parse error at offset 12: expected one of {,}, found end of input"),
+            ("swap[(S1,S1),S1", "ParseError", 15, None,
+             "parse error at offset 15: expected one of {]}, found end of input"),
+            ("swap[S1 S1]", "ParseError", 8, None,
+             "parse error at offset 8: expected one of {,}, found 'S1'"),
+            ("swap[]", "ParseError", 5, None,
+             "parse error at offset 5: expected one of {NAME}, found ']'"),
+            ("swap[(1),S1]", "ok", None, None, "swap[1,S1]"),
+            ("swap[S1,S1,S1]", "ParseError", 10, None,
+             "parse error at offset 10: expected one of {]}, found ','"),
+            ("swap[(),S1]", "ParseError", 6, None,
+             "parse error at offset 6: expected one of {NAME}, found ')'"),
+            ("swap[((S1)),S1]", "ParseError", 6, None,
+             "parse error at offset 6: expected one of {NAME}, found '('"),
+            ("swap(S1,S1)", "ParseError", 4, None,
+             "parse error at offset 4: expected one of {[}, found '('"),
+            ("", "ParseError", 0, None,
+             "parse error at offset 0: expected one of {NAME, 'id[', 'swap[', '('}, found end of input"),
+            ("   ", "ParseError", 3, None,
+             "parse error at offset 3: expected one of {NAME, 'id[', 'swap[', '('}, found end of input"),
+            ("1", "ParseError", 0, None,
+             "parse error at offset 0: expected one of {NAME, 'id[', 'swap[', '('}, found '1'"),
+            ("cap ;", "ParseError", 5, None,
+             "parse error at offset 5: expected one of {NAME, 'id[', 'swap[', '('}, found end of input"),
+            ("cap *", "ParseError", 5, None,
+             "parse error at offset 5: expected one of {NAME, 'id[', 'swap[', '('}, found end of input"),
+            ("cap ; ; cup", "ParseError", 6, None,
+             "parse error at offset 6: expected one of {NAME, 'id[', 'swap[', '('}, found ';'"),
+            ("* cap", "ParseError", 0, None,
+             "parse error at offset 0: expected one of {NAME, 'id[', 'swap[', '('}, found '*'"),
+            ("; cap", "ParseError", 0, None,
+             "parse error at offset 0: expected one of {NAME, 'id[', 'swap[', '('}, found ';'"),
+            ("cap cup", "ParseError", 4, None,
+             "parse error at offset 4: expected one of {';', '*', end of input}, found 'cup'"),
+            ("cap * )", "ParseError", 6, None,
+             "parse error at offset 6: expected one of {NAME, 'id[', 'swap[', '('}, found ')'"),
+            ("é", "UnknownGenerator", None, (), "unknown generator 'é' at term"),
+            ("cap ; kapé", "UnknownGenerator", None, ("then",),
+             "unknown generator 'kapé' at term.then"),
+            ("ñ ; $", "LexicalError", 4, None,
+             "lexical error at offset 4: unexpected character '$'"),
+            ("id[Ω]", "UnknownObject", None, (), "unknown object label 'Ω' at term"),
+            ("cap * ü(", "ParseError", 7, None,
+             "parse error at offset 7: expected one of {';', '*', end of input}, found '('"),
+            ("pants ; pants", "ComposeMismatch", None, (),
+             "composition mismatch at term: first factor ends at (S1) but second starts at (S1,S1)"),
+            ("cap * trousers", "UnknownGenerator", None, ("right",),
+             "unknown generator 'trousers' at term.right"),
+            ("swap[S1,T]", "UnknownObject", None, (), "unknown object label 'T' at term"),
+        ],
+    )
+    def test_front_end_outcomes_are_pinned(self, text, kind, offset, path, message):
+        try:
+            found = ("ok", None, None, render_term(parse_term(text, bord2_signature())))
+        except TermError as exc:
+            where = getattr(exc, "offset", None), getattr(exc, "path", None)
+            found = (type(exc).__name__, *where, str(exc))
+        assert found == (kind, offset, path, message)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.text(max_size=30),
+            st.lists(st.sampled_from(DSL_PIECES), max_size=16).map("".join),
+        )
+    )
+    def test_random_text_reads_back_or_fails_at_an_offset(self, text):
+        sig = bord2_signature()
+        try:
+            t = terms._parse(text)
+        except (LexicalError, ParseError) as exc:
+            assert 0 <= exc.offset <= len(text)
+            return
+        assert terms._parse(render_term(t)) == t
+        try:
+            typecheck(t, sig)
+        except (UnknownGenerator, UnknownObject, ComposeMismatch):
+            return
+        assert parse_term(render_term(t), sig) == t
 
     def test_deep_parentheses_need_no_recursion(self):
         sig = bord2_signature()

@@ -3,9 +3,11 @@ deep and wide terms at the default recursion limit, deep relation sides
 in signature JSON, and the structure built once around it."""
 
 import ast
+import copy
 import importlib
 import json
 import pathlib
+import pickle
 import pkgutil
 import sys
 
@@ -123,6 +125,17 @@ class TestDeepTerms:
             t, twin, other = build(DEEP), build(DEEP), build(DEEP - 1)
             assert t == twin and not t != twin and hash(t) == hash(twin)
             assert t != other and not t == other
+
+    def test_deep_and_wide_terms_print_pickle_and_copy(self):
+        sig = bord2_signature()
+        size = 20000
+        nested = "cup * (" * (size - 1) + "cup * id[S1]" + ")" * (size - 1)
+        for t, text in ((genus_term(size), genus_text(size)), (wide_tensor(size), nested)):
+            typecheck(t, sig)
+            assert repr(t) == str(t) == f"<{type(t).__name__} {text}>"
+            for twin in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t), copy.copy(t)):
+                assert twin is not t and twin == t and hash(twin) == hash(t)
+                assert twin._typed is None  # the kept type is not copied
 
     def test_deep_unknown_generator_error_path(self):
         t = Gen("trousers")
