@@ -50,14 +50,24 @@ def _blamed(context: str):
         raise _fail(context, str(exc)) from exc
 
 
-def _load_json(path: str):
+def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return fh.read()
     except OSError as exc:
         raise _fail(path, f"cannot read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _fail(path, f"not UTF-8 text at byte {exc.start}") from exc
+
+
+def _load_json(path: str):
+    text = _read(path)
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise _fail(path, f"invalid JSON at line {exc.lineno} column {exc.colno}") from exc
+    except ValueError as exc:  # an integer over the interpreter's digit limit
+        raise _fail(path, str(exc)) from exc
 
 
 def _load_algebra(spec: str) -> FrobeniusAlgebra:
@@ -72,16 +82,6 @@ def _load_algebra(spec: str) -> FrobeniusAlgebra:
             raise ValueError("unknown algebra (not a file, not a built-in name)") from None
 
 
-def _load_signature(spec: str) -> Signature:
-    if spec == "bord1":
-        return dualpairs.bord1_signature()
-    if spec == "bord2":
-        return surfaces.bord2_signature()
-    obj = _load_json(spec)
-    with _blamed(spec):
-        return signature_from_json(obj)
-
-
 def _load_interpretation(sig_spec: str, algebra_spec: str) -> Interpretation:
     if sig_spec == "bord2":
         alg = _load_algebra(algebra_spec)
@@ -91,13 +91,15 @@ def _load_interpretation(sig_spec: str, algebra_spec: str) -> Interpretation:
         obj = _load_json(algebra_spec)
         with _blamed(algebra_spec):
             return dualpairs.dual_pair_from_json(obj).interpretation
-    sig = _load_signature(sig_spec)
+    sig_obj = _load_json(sig_spec)
+    with _blamed(sig_spec):
+        sig = signature_from_json(sig_obj)
     obj = _load_json(algebra_spec)
     try:
         dims = {k: integer_from_json(v) for k, v in obj["dims"].items()}
         mats = {k: matrix_from_json(v) for k, v in obj["matrices"].items()}
         return Interpretation(sig, dims, mats)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
         raise _fail(algebra_spec, f"bad interpretation: {exc}") from exc
 
 
@@ -105,11 +107,7 @@ def _load_term(spec: str, sig: Signature) -> Term:
     """The term a --term argument names, typechecked against ``sig``; its
     type is kept, so typechecking it again against ``sig`` walks nothing."""
     if os.path.exists(spec):
-        try:
-            with open(spec, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise _fail(spec, f"cannot read: {exc.strerror or exc}") from exc
+        text = _read(spec)
         context = spec
     else:
         text = spec
@@ -193,8 +191,7 @@ def _cmd_fusion(args) -> int:
         _emit({"word": args.word, "hom_dimension": value}, args.json, str(value))
         return 0
     with _blamed(args.ring):
-        alg = fusion.grothendieck_frobenius(ring)
-    value = surfaces.surface_invariant(alg, args.genus)
+        value = surfaces.surface_invariant(fusion.grothendieck_frobenius(ring), args.genus)
     _emit({"genus": args.genus, "value": scalar_to_str(value)}, args.json, scalar_to_str(value))
     return 0
 

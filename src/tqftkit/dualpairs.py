@@ -30,7 +30,7 @@ from functools import cache
 from .evaluate import Interpretation, check_relations, eval_term, naturality_failures, sandwich_inverse
 from .exactlin import (
     Matrix,
-    ShapeError,
+    array_from_json,
     integer_from_json,
     matrix_from_json,
     matrix_to_json,
@@ -79,8 +79,6 @@ class DualPair:
     interpretation: Interpretation = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.dim_u < 1 or self.dim_v < 1:
-            raise ShapeError("dual pair dimensions must be positive")
         dims = {"pp": self.dim_u, "pm": self.dim_v}
         interp = Interpretation(bord1_signature(), dims, {"coev": self.b, "ev": self.d})
         object.__setattr__(self, "interpretation", interp)
@@ -155,19 +153,20 @@ def dual_pair_to_json(pair: DualPair) -> dict:
     }
 
 
-def _vector_from_json(obj, rows: int, cols: int) -> Matrix:
-    """A rows x cols vector from a flat list of scalars, or a list of rows."""
-    if obj and isinstance(obj[0], list):
-        return matrix_from_json(obj)
-    return Matrix(rows, cols, [scalar_from_str(x) for x in obj])
+def _vector_from_json(obj: dict, key: str, rows: int, cols: int) -> Matrix:
+    """The rows x cols vector ``obj[key]``, a flat array of scalars or an array of rows."""
+    value = array_from_json(obj[key], key)
+    if value and isinstance(value[0], list):
+        return matrix_from_json(value)
+    return Matrix(rows, cols, [scalar_from_str(x) for x in value])
 
 
 def dual_pair_from_json(obj: dict) -> DualPair:
     try:
         dim_u = integer_from_json(obj["dimU"])
         dim_v = integer_from_json(obj["dimV"])
-        b = _vector_from_json(obj["b"], dim_u * dim_v, 1)
-        d = _vector_from_json(obj["d"], 1, dim_v * dim_u)
+        b = _vector_from_json(obj, "b", dim_u * dim_v, 1)
+        d = _vector_from_json(obj, "d", 1, dim_v * dim_u)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed dual pair JSON: {exc}") from exc
     return DualPair(dim_u, dim_v, b, d)

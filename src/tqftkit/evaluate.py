@@ -56,7 +56,6 @@ from .terms import (
     ObjectWord,
     Relation,
     Signature,
-    Swap,
     Term,
     fold,
     render_term,
@@ -104,7 +103,7 @@ class Interpretation:
         for label in sig.g0:
             d = self.obj_dim.get(label)
             if not isinstance(d, int) or d < 1:
-                raise ValueError(f"object {label!r} needs a positive dimension, got {d!r}")
+                raise ShapeError(f"object {label!r}: dimension must be positive, got {d!r}")
         for name, (src, tgt) in sig.g1.items():
             m = self.gen_matrix.get(name)
             if m is None:
@@ -176,9 +175,7 @@ def _value_leaf(t: Term, interp: Interpretation) -> tuple[int, Matrix, int]:
         return 1, interp.gen_matrix[t.name], 1
     if kind is Id:
         return interp.dim(t.word), _ONE, 1
-    if kind is Swap:
-        return 1, swap_matrix(interp.dim(t.left), interp.dim(t.right)), 1
-    raise TypeError(f"not a term: {t!r}")
+    return 1, swap_matrix(interp.dim(t.left), interp.dim(t.right)), 1
 
 
 def _value_combine(t: Term, first, second, interp: Interpretation) -> tuple[int, Matrix, int]:

@@ -74,6 +74,7 @@ __all__ = [
     "Matrix",
     "Scalar",
     "ShapeError",
+    "array_from_json",
     "integer_from_json",
     "inverse",
     "kron",
@@ -532,6 +533,14 @@ def integer_from_json(x) -> int:
     if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
         raise ValueError(f"not an integer: {x!r}")
     return int(x)
+
+
+def array_from_json(x, what: str) -> list:
+    """``x``, which must be a JSON array (a string is not read as one);
+    the TypeError otherwise names it as ``what``."""
+    if type(x) is not list:
+        raise TypeError(f"{what} must be a JSON array, got {type(x).__name__}")
+    return x
 
 
 def scalar_from_str(s: Union[str, int]) -> Fraction:

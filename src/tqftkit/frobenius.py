@@ -48,6 +48,7 @@ from .evaluate import Interpretation, RelationReport, check_relations, naturalit
 from .exactlin import (
     Matrix,
     ShapeError,
+    array_from_json,
     integer_from_json,
     inverse,
     matmul,
@@ -204,8 +205,6 @@ class FrobeniusAlgebra:
     interpretation: Interpretation = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ShapeError("dimension must be positive")
         maps = {"pants": self.mu, "copants": self.delta, "cap": self.eta, "cup": self.eps}
         interp = Interpretation(bord2_signature(), {"S1": self.dim}, maps)
         object.__setattr__(self, "interpretation", interp)
@@ -259,8 +258,6 @@ def check_axioms(alg: FrobeniusAlgebra) -> AxiomReport:
 
 
 def _check_algebra(dim: int, mu: Matrix, eta: Matrix) -> None:
-    if dim < 1:
-        raise ShapeError("dimension must be positive")
     interp = Interpretation(_algebra_signature(), {"S1": dim}, {"pants": mu, "cap": eta})
     failing = check_relations(interp).failing()
     if "R1a_assoc" in failing:
@@ -383,15 +380,15 @@ def algebra_from_json(obj: dict) -> FrobeniusAlgebra:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed algebra JSON: {exc}") from exc
     try:
-        basis = tuple(obj["basis"]) if "basis" in obj else None
+        basis = tuple(array_from_json(obj["basis"], "basis")) if "basis" in obj else None
         mu = matrix_from_json(obj["mu"])
-        eta = Matrix(dim, 1, [scalar_from_str(x) for x in obj["eta"]])
+        eta = Matrix(dim, 1, [scalar_from_str(x) for x in array_from_json(obj["eta"], "eta")])
         gram = matrix_from_json(obj["pairing"]) if "pairing" in obj else None
         if gram is None:
             if "delta" not in obj or "eps" not in obj:
                 raise ValueError("algebra JSON needs either 'pairing' or 'delta'+'eps'")
             delta = matrix_from_json(obj["delta"])
-            eps = Matrix(1, dim, [scalar_from_str(x) for x in obj["eps"]])
+            eps = Matrix(1, dim, [scalar_from_str(x) for x in array_from_json(obj["eps"], "eps")])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed algebra JSON: {exc}") from exc
     if gram is not None:

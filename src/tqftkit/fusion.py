@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .evaluate import Interpretation, check_relations
-from .exactlin import Matrix, integer_from_json
+from .exactlin import Matrix, array_from_json, integer_from_json
 from .frobenius import BilinearPairing, FrobeniusAlgebra, _algebra_signature, _complete
 
 __all__ = [
@@ -223,10 +223,14 @@ def fusion_ring_to_json(ring: FusionRing) -> dict:
 
 def fusion_ring_from_json(obj: dict) -> FusionRing:
     try:
-        labels = tuple(obj["labels"])
-        dual = tuple(integer_from_json(x) for x in obj["dual"])
+        labels = tuple(array_from_json(obj["labels"], "labels"))
+        dual = tuple(integer_from_json(x) for x in array_from_json(obj["dual"], "dual"))
         table = tuple(
-            tuple(tuple(integer_from_json(x) for x in row) for row in plane) for plane in obj["N"]
+            tuple(
+                tuple(integer_from_json(x) for x in array_from_json(row, "N"))
+                for row in array_from_json(plane, "N")
+            )
+            for plane in array_from_json(obj["N"], "N")
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed fusion ring JSON: {exc}") from exc

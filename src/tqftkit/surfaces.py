@@ -122,10 +122,9 @@ def connected_sum_identity(alg: FrobeniusAlgebra, term_m: Term, term_n: Term) ->
     """
     if alg.dim != 1:
         raise ValueError("connected-sum identity needs a one-dimensional circle space")
-    sphere = matmul(alg.eps, alg.eta).entry(0, 0)
-    if sphere == 0:
-        raise ValueError("sphere value is zero; the algebra is degenerate")
     interp = frobenius_interpretation(alg)
+    # nonzero: in dimension one the unit and counit laws rule out eta = 0 and eps = 0
+    sphere = matmul(alg.eps, alg.eta).entry(0, 0)
     m_rest = _strip(term_m, "cap", at_start=True)  # (S1) -> E
     n_rest = _strip(term_n, "cup", at_start=False)  # F -> (S1)
     summed = eval_term(Compose(n_rest, m_rest), interp)

@@ -38,6 +38,8 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Mapping, Sequence
 
+from .exactlin import array_from_json
+
 ObjectWord = tuple[str, ...]
 
 RESERVED = ("id", "swap")
@@ -382,10 +384,7 @@ def _type_combine(node: Term, first, second, ctx) -> tuple[ObjectWord, ObjectWor
 def _path_to(root: Term, node: Term) -> tuple[str, ...]:
     """Path from ``root`` to the first occurrence of the subterm object
     ``node`` in walk order."""
-    steps = fold(root, _path_leaf, _path_combine, node)
-    if steps is None:
-        raise LookupError(f"{node!r} is not a subterm")
-    return tuple(reversed(steps))
+    return tuple(reversed(fold(root, _path_leaf, _path_combine, node)))
 
 
 def _path_leaf(t: Term, node: Term) -> list[str] | None:
@@ -610,9 +609,9 @@ def signature_to_json(sig: Signature) -> dict:
 
 def signature_from_json(obj: dict) -> Signature:
     try:
-        g0 = list(obj["objects"])
+        g0 = array_from_json(obj["objects"], "objects")
         g1 = {
-            name: (tuple(spec["src"]), tuple(spec["tgt"]))
+            name: (tuple(array_from_json(spec["src"], "src")), tuple(array_from_json(spec["tgt"], "tgt")))
             for name, spec in obj["generators"].items()
         }
         sig = Signature(g0, g1)
@@ -620,7 +619,7 @@ def signature_from_json(obj: dict) -> Signature:
             Relation(
                 rel.get("name", f"relation{k}"), parse_term(rel["lhs"], sig), parse_term(rel["rhs"], sig)
             )
-            for k, rel in enumerate(obj.get("relations", []))
+            for k, rel in enumerate(array_from_json(obj.get("relations", []), "relations"))
         ]
         duality = {
             label: DualityData(parse_term(spec["coev"], sig), parse_term(spec["pairing"], sig))

@@ -43,6 +43,31 @@ class TestGroupTables:
                 2, ((0, 1), (1, 1)), (0, 1), 0, ("e", "g")
             )  # g*g = g breaks inverses
 
+    @pytest.mark.parametrize("order, mult, inverse, names, message", [
+        (2, ((0, 1),), (0, 1), ("e", "g"), "multiplication table must be order x order"),
+        (2, ((0, 1), (1,)), (0, 1), ("e", "g"), "multiplication table must be order x order"),
+        (2, ((0, 1), (1, 0)), (0,), ("e", "g"), "inverse list and names must have length order"),
+        (2, ((0, 1), (1, 0)), (0, 1), ("e",), "inverse list and names must have length order"),
+        (2, ((0, 1), (1, 2)), (0, 1), ("e", "g"), "table entry out of range"),
+        (2, ((1, 0), (0, 1)), (0, 1), ("e", "g"), "element 0 is not an identity"),
+        (2, ((0, 1), (1, 0)), (0, 0), ("e", "g"), "inverse of element 1 is wrong"),
+        # a.a = b and b.b = e, so (a.a).b = e but a.(a.b) = a
+        (3, ((0, 1, 2), (1, 2, 0), (2, 0, 0)), (0, 2, 1), ("e", "a", "b"),
+         r"table is not associative at \(1,1,2\)"),
+    ])
+    def test_malformed_table_names_its_fault(self, order, mult, inverse, names, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FiniteGroupTable(order, mult, inverse, 0, names)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: cyclic_group(0), "order must be positive"),
+        (lambda: matrix_center_algebra([]), "need at least one block"),
+        (lambda: matrix_center_algebra([1, 0]), "block sizes must be positive"),
+    ])
+    def test_empty_constructions_rejected(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
     def test_nonassociative_table_rejected(self):
         # "multiplication" i*j = max(i,j) with forced inverse column
         with pytest.raises(ValueError):

@@ -1,11 +1,18 @@
 """CLI behavior: outputs, exit codes, diagnostics, determinism."""
 
+import contextlib
+import copy
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tqftkit import cli, evaluate, terms
 from tqftkit.cli import run
@@ -17,6 +24,23 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 def fx(name):
     return os.path.join(FIXTURES, name)
+
+
+# valid files of each kind that the loader tests spoil one value at a time
+Z2 = {"dim": 2, "mu": [["1", "0", "0", "1"], ["0", "1", "1", "0"]], "eta": ["1", "0"],
+      "pairing": [["1", "0"], ["0", "1"]]}
+Z2_FULL = {"dim": 2, "mu": Z2["mu"], "eta": ["1", "0"],
+           "delta": [["1", "0"], ["0", "1"], ["0", "1"], ["1", "0"]], "eps": ["1", "0"]}
+PAIR = {"dimU": 2, "dimV": 2, "b": ["1", "0", "0", "1"], "d": ["1", "0", "0", "1"]}
+RING = {"labels": ["1", "t"], "dual": [0, 1], "N": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]}
+SIG = {"objects": ["a", "b"], "generators": {"f": {"src": ["a"], "tgt": ["a"]}}, "relations": []}
+LOADERS = {  # file kind -> its argv, with F for the file, and the prefix of its errors
+    "algebra": (["check", "--algebra", "F"], "malformed algebra JSON: "),
+    "pair": (["eval", "--sig", "bord1", "--algebra", "F", "--term", "coev ; swap[pp,pm] ; ev"],
+             "malformed dual pair JSON: "),
+    "ring": (["fusion", "F", "--genus", "2"], "malformed fusion ring JSON: "),
+    "signature": (["eval", "--sig", "F", "--algebra", "INTERP", "--term", "f"], "malformed signature JSON: "),
+}
 
 
 @pytest.fixture
@@ -257,6 +281,8 @@ class TestErrorDiagnostics:
         ("center:[1,x]", "block size must be an integer, got 'x'"),
         ("milnor:x", "degree must be an integer, got 'x'"),
         ("milnor:", "degree must be an integer, got ''"),
+        ("center:[0]", "block sizes must be positive"),
+        ("center:1", "center spec must look like center:[1,2], got 'center:1'"),
     ])
     def test_malformed_builtin_spec(self, capout, spec, message):
         code, out, err = capout("invariant", "--algebra", spec, "--genus", "1")
@@ -390,6 +416,58 @@ class TestErrorDiagnostics:
         code, out, err = capout("fusion", str(path), "--word", "1")
         self.one_error_line(code, out, err, "half.json", "malformed fusion ring JSON", "1.5")
 
+    @pytest.mark.parametrize("ring, message", [
+        ({"labels": [], "dual": [], "N": []}, "need at least the unit label"),
+        ({"labels": ["1", "t"], "dual": [0], "N": RING["N"]}, "dual involution must cover every label"),
+        ({"labels": ["1", "t"], "dual": [0, 1], "N": [[[1, 0], [0, 1]], [[0, 1]]]},
+         "structure constants must be rank x rank x rank"),
+    ])
+    def test_fusion_ring_of_the_wrong_shape(self, capout, tmp_path, ring, message):
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps(ring))
+        assert capout("fusion", str(path), "--genus", "1") == (2, "", f"error: {path}: {message}\n")
+
+    def test_fusion_word_with_an_unknown_label(self, capout):
+        assert capout("fusion", fx("fib.json"), "--word", "tau, nope") == (
+            2, "", f"error: {fx('fib.json')}: unknown label 'nope'\n"
+        )
+
+    @pytest.mark.parametrize("argv, context", [
+        (["invariant", "--algebra", "z2"], "z2"),
+        (["fusion", fx("fib.json")], fx("fib.json")),
+    ])
+    def test_negative_genus_names_the_input(self, capout, argv, context):
+        assert capout(*argv, "--genus", "-1") == (2, "", f"error: {context}: genus must be nonnegative\n")
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"basis": ["e"]}, "basis_names length must equal dim"),
+        ({"pairing": [["1"]]}, "gram must be 2x2, got 1x1"),
+    ])
+    def test_algebra_json_of_the_wrong_shape(self, capout, tmp_path, changes, message):
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps({**Z2, **changes}))
+        assert capout("check", "--algebra", str(path)) == (2, "", f"error: {path}: {message}\n")
+
+    @pytest.mark.parametrize("content, message", [
+        (b"\xff\xfe", "not UTF-8 text at byte 0"),
+        (b"[" + b"1" * 5000 + b"]", "Exceeds the limit (4300 digits) for integer string conversion"),
+    ])
+    @pytest.mark.parametrize("argv", [["check", "--algebra"], ["fusion"]])
+    def test_unreadable_json_names_the_file(self, capout, tmp_path, digit_limit, content, message, argv):
+        path = tmp_path / "bytes.json"
+        path.write_bytes(content)
+        code, out, err = capout(*argv, str(path), *(["--genus", "1"] if argv == ["fusion"] else []))
+        self.one_error_line(code, out, err, f"error: {path}: {message}")
+
+    @pytest.mark.parametrize("name, message", [
+        ("", "cannot read: Is a directory"),
+        ("bad.term", "not UTF-8 text at byte 3"),
+    ])
+    def test_term_file_that_cannot_be_read(self, capout, tmp_path, name, message):
+        (tmp_path / "bad.term").write_bytes(b"cap\xff")
+        path = tmp_path / name
+        assert capout("eval", "--algebra", "z2", "--term", str(path)) == (2, "", f"error: {path}: {message}\n")
+
     def malformed_signature(self, capout, tmp_path, **entries):
         sig = tmp_path / "bad_sig.json"
         sig.write_text(json.dumps({
@@ -414,6 +492,80 @@ class TestErrorDiagnostics:
 
     def test_signature_duality_that_is_a_list(self, capout, tmp_path):
         self.malformed_signature(capout, tmp_path, duality=[1])
+
+    @pytest.mark.parametrize("sig, message", [
+        ({"objects": ["a", "a"], "generators": {}}, "duplicate object name 'a'"),
+        ({"objects": [""], "generators": {}}, "invalid name ''"),
+        ({"objects": ["1a"], "generators": {}}, "invalid name '1a'"),
+        ({"objects": ["a-b"], "generators": {}}, "invalid name 'a-b'"),
+        ({"objects": ["a"], "generators": {"f": {"src": ["b"], "tgt": ["a"]}}},
+         "unknown object label 'b' at term"),
+        ({"objects": ["a"], "generators": {}, "duality": {"b": {"coev": "id[a]", "pairing": "id[a]"}}},
+         "unknown object label 'b' at term"),
+        ({"objects": ["a"], "generators": {"c": {"src": [], "tgt": ["a", "a"]}},
+          "duality": {"a": {"coev": "c", "pairing": "c"}}},
+         "pairing for 'a' must be (a,a) -> ()"),
+    ])
+    def test_invalid_signature(self, capout, tmp_path, sig, message):
+        sig_path, interp = tmp_path / "sig.json", tmp_path / "interp.json"
+        sig_path.write_text(json.dumps(sig))
+        interp.write_text('{"dims": {"a": 1}, "matrices": {}}')
+        code, out, err = capout("eval", "--sig", str(sig_path), "--algebra", str(interp), "--term", "id[a]")
+        assert (code, out, err) == (2, "", f"error: {sig_path}: {message}\n")
+
+    @pytest.mark.parametrize("interp, message", [
+        ({"dims": [1], "matrices": {}}, "'list' object has no attribute 'items'"),
+        ({"dims": {"x": 1}, "matrices": "f"}, "'str' object has no attribute 'items'"),
+        ({"dims": {"x": 1}, "matrices": []}, "'list' object has no attribute 'items'"),
+        ({"dims": {"x": 1}, "matrices": {}}, "no matrix assigned to generator 'f'"),
+        ({"dims": {"x": 1}, "matrices": {"f": "1"}}, "matrix JSON must be a list of rows"),
+        ({"dims": {"x": 0}, "matrices": {"f": []}}, "object 'x': dimension must be positive, got 0"),
+    ])
+    @pytest.mark.parametrize("command", [["eval", "--term", "f"], ["relations"]])
+    def test_malformed_interpretation(self, capout, tmp_path, interp, message, command):
+        # a list or string for dims or matrices used to end in an AttributeError traceback
+        sig, path = tmp_path / "sig.json", tmp_path / "interp.json"
+        sig.write_text('{"objects": ["x"], "generators": {"f": {"src": ["x"], "tgt": ["x"]}}}')
+        path.write_text(json.dumps(interp))
+        code, out, err = capout(*command, "--sig", str(sig), "--algebra", str(path))
+        assert (code, out, err) == (2, "", f"error: {path}: bad interpretation: {message}\n")
+
+    @pytest.mark.parametrize("kind, obj, what", [
+        # each of these strings used to load as the array of its characters
+        ("algebra", {**Z2, "eta": "10"}, "eta"),
+        ("algebra", {**Z2, "basis": "ab"}, "basis"),
+        ("algebra", {**Z2_FULL, "eps": "10"}, "eps"),
+        ("pair", {**PAIR, "b": "1001"}, "b"),
+        ("pair", {**PAIR, "d": "1001"}, "d"),
+        ("ring", {**RING, "labels": "1t"}, "labels"),
+        ("ring", {**RING, "dual": "01"}, "dual"),
+        ("ring", {**RING, "N": "ab"}, "N"),
+        ("ring", {**RING, "N": [[[1, 0], [0, 1]], ["01", [1, 0]]]}, "N"),
+        ("ring", {**RING, "N": [[[1, 0], "01"], [[0, 1], [1, 0]]]}, "N"),
+        ("signature", {**SIG, "objects": "ab"}, "objects"),
+        ("signature", {**SIG, "generators": {"f": {"src": "a", "tgt": ["a"]}}}, "src"),
+        ("signature", {**SIG, "generators": {"f": {"src": ["a"], "tgt": "a"}}}, "tgt"),
+        ("signature", {**SIG, "relations": ""}, "relations"),
+    ])
+    def test_string_is_not_an_array(self, capout, tmp_path, kind, obj, what):
+        assert self.load(capout, tmp_path, kind, obj) == (
+            2, "", f"error: {tmp_path / kind}.json: {LOADERS[kind][1]}{what} must be a JSON array, got str\n"
+        )
+
+    @pytest.mark.parametrize("kind, obj", [
+        ("algebra", Z2), ("algebra", Z2_FULL), ("pair", PAIR), ("ring", RING), ("signature", SIG),
+    ])
+    def test_arrays_load(self, capout, tmp_path, kind, obj):
+        # the files the test above spoils, as they are
+        code, out, err = self.load(capout, tmp_path, kind, obj)
+        assert (code, err) == (0, "") and out
+
+    def load(self, capout, tmp_path, kind, obj):
+        path, interp = tmp_path / f"{kind}.json", tmp_path / "interp.json"
+        path.write_text(json.dumps(obj))
+        interp.write_text('{"dims": {"a": 2, "b": 1}, "matrices": {"f": [["0", "1"], ["1", "0"]]}}')
+        argv = [{"F": str(path), "INTERP": str(interp)}.get(arg, arg) for arg in LOADERS[kind][0]]
+        return capout(*argv)
 
     def test_usage_error(self, capout):
         code, _, err = capout("invariant", "--algebra", "z2")
@@ -501,6 +653,17 @@ class TestDeterminism:
 
 
 class TestModuleEntryPoint:
+    def test_main_exits_with_the_code_of_run(self, capsys, monkeypatch):
+        for argv, code, out in [(["invariant", "--algebra", "z2", "--genus", "2"], 0, "4\n"),
+                                (["relations", "--algebra", "s3"], 1, None),
+                                (["invariant", "--algebra", "z2", "--genus", "-1"], 2, "")]:
+            monkeypatch.setattr(sys, "argv", ["tqftkit", *argv])
+            with pytest.raises(SystemExit) as done:
+                cli.main()
+            assert done.value.code == code
+            assert out is None or capsys.readouterr().out == out
+            capsys.readouterr()
+
     def run_module(self, *argv):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
@@ -517,3 +680,167 @@ class TestModuleEntryPoint:
         done = self.run_module("invariant", "--algebra", "nope", "--genus", "2")
         assert done.returncode == 2 and done.stdout == ""
         assert len(done.stderr.splitlines()) == 1 and "nope" in done.stderr
+
+
+# --- fuzz ----------------------------------------------------------------------
+
+# the keys each loader reads, and a valid file of each kind to spoil
+KEYS = {
+    "algebra": ["dim", "basis", "mu", "eta", "delta", "eps", "pairing"],
+    "pair": ["dimU", "dimV", "b", "d"],
+    "ring": ["labels", "dual", "N"],
+    "signature": ["objects", "generators", "relations", "duality"],
+    "interp": ["dims", "matrices"],
+}
+BASES = {
+    "algebra": [Z2, Z2_FULL],
+    "pair": [PAIR],
+    "ring": [RING],
+    "signature": [{**SIG, "relations": [{"name": "involution", "lhs": "f ; f", "rhs": "id[a]"}]}],
+    "interp": [{"dims": {"a": 2, "b": 1}, "matrices": {"f": [["0", "1"], ["1", "0"]]}}],
+}
+# short texts over the DSL's pieces, or any text; at most six names keep values small
+TERM_PIECES = ["cap", "cup", "pants", "copants", "coev", "ev", "id[", "swap[", "S1", "pp", "pm",
+               "1", ",", "]", "(", ")", ";", "*", " ", "x", "\u00e9", "$"]
+term_texts = (st.lists(st.sampled_from(TERM_PIECES), max_size=14).map("".join) | st.text(max_size=40)).map(
+    lambda text: text[:40]
+).filter(lambda text: len(re.findall(r"[^\W\d]\w*", text)) <= 6)
+SPECS = ["z2", "z3", "s3", "milnor:3", "center:[1,2]", "center:[0]", "center:1", "center:[1,,2]",
+         "milnor:1", "milnor:x", "triangular", "nope", ""]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.sampled_from([0.5, 2.0, 1e300, float("inf")])
+    | st.text(alphabet="01/-abtS", max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(alphabet="abfS1", max_size=2), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+def _nodes(value, path=()):
+    yield path, value
+    if isinstance(value, (dict, list)):
+        for key in (sorted(value) if isinstance(value, dict) else range(len(value))):
+            yield from _nodes(value[key], path + (key,))
+
+
+@st.composite
+def spoiled(draw, kind):
+    """A valid file of ``kind`` with one value at any depth joined into a
+    string (``["1", "0"]`` to ``"10"``), replaced, or dropped."""
+    value = copy.deepcopy(draw(st.sampled_from(BASES[kind])))
+    path, node = draw(st.sampled_from(list(_nodes(value))[1:]))
+    parent = value
+    for key in path[:-1]:
+        parent = parent[key]
+    action = draw(st.sampled_from(["join", "replace", "drop"]))
+    if action == "drop":
+        del parent[path[-1]]
+    elif action == "join" and isinstance(node, list):
+        parent[path[-1]] = "".join(ch for ch in json.dumps(node) if ch.isalnum())
+    else:
+        parent[path[-1]] = draw(json_values)
+    return value
+
+
+def file_contents(kind):
+    """Random bytes, random small JSON under the loader's keys, a valid file, or a spoiled one."""
+    return st.one_of(
+        st.binary(max_size=40),
+        st.dictionaries(st.sampled_from(KEYS[kind]), json_values, max_size=5).map(lambda v: json.dumps(v).encode()),
+        st.sampled_from(BASES[kind]).map(lambda v: json.dumps(v).encode()),
+        spoiled(kind).map(lambda v: json.dumps(v).encode()),
+    )
+
+
+@st.composite
+def cli_cases(draw):
+    """Well-formed argv, with ``{kind}`` standing for a file of that kind, and the files' contents."""
+    genus = draw(st.sampled_from(["-1", "0", "1", "3"]))
+    group = draw(st.sampled_from(["algebra", "pair", "ring", "signature", "term", "spec"]))
+    files = {}
+    if group in ("algebra", "pair", "ring"):
+        files["{%s}" % group] = (group, draw(file_contents(group)))
+    if group == "signature":
+        # one of the two files is random, so the other's loader is reached
+        for kind in ("signature", "interp"):
+            files["{%s}" % kind] = (kind, json.dumps(BASES[kind][0]).encode())
+        kind = draw(st.sampled_from(["signature", "interp"]))
+        files["{%s}" % kind] = (kind, draw(file_contents(kind)))
+    if group == "term":
+        files["{pair}"] = ("pair", json.dumps(PAIR).encode())
+    term, spec = draw(term_texts), draw(st.sampled_from(SPECS))
+    argv = draw(st.sampled_from({
+        "algebra": [["check", "--algebra", "{algebra}"], ["relations", "--algebra", "{algebra}"],
+                    ["invariant", "--algebra", "{algebra}", "--genus", genus], ["reduce", "--algebra", "{algebra}"],
+                    ["eval", "--algebra", "{algebra}", "--term", "pants"],
+                    ["recon", "--algebra", "{algebra}", "--term", "copants"]],
+        "pair": [["eval", "--sig", "bord1", "--algebra", "{pair}", "--term", "coev ; swap[pp,pm] ; ev"],
+                 ["relations", "--sig", "bord1", "--algebra", "{pair}"]],
+        "ring": [["fusion", "{ring}", "--genus", genus], ["fusion", "{ring}", "--word", "1,t"],
+                 ["fusion", "{ring}", "--word", "t,t,t", "--json"]],
+        "signature": [["eval", "--sig", "{signature}", "--algebra", "{interp}", "--term", "f ; f"],
+                      ["relations", "--sig", "{signature}", "--algebra", "{interp}"]],
+        # --term=TEXT, as a text that starts with "-" would otherwise read as an option
+        "term": [["eval", "--algebra", "z2", f"--term={term}"], ["recon", "--algebra", "z2", f"--term={term}"],
+                 ["eval", "--sig", "bord1", "--algebra", "{pair}", f"--term={term}"]],
+        "spec": [["check", "--algebra", spec], ["relations", "--algebra", spec, "--json"],
+                 ["invariant", "--algebra", spec, "--genus", genus], ["reduce", "--algebra", spec],
+                 ["recon", "--algebra", spec, "--term", "pants"]],
+    }[group]))
+    return argv, files
+
+
+def misshapen(kind, content) -> bool:
+    """Whether a file of ``kind`` is no JSON object, or its loader reads a
+    value that is no JSON array (no JSON object, for ``dims`` and
+    ``matrices``) where one belongs; such a file must be refused."""
+    try:
+        obj = json.loads(content.decode("utf-8"))
+    except ValueError:
+        return True
+    if type(obj) is not dict:
+        return True
+    arrays = {
+        "algebra": ["basis", "mu", "eta"] + (["pairing"] if "pairing" in obj else ["delta", "eps"]),
+        "pair": ["b", "d"],
+        "ring": ["labels", "dual", "N"],
+        "signature": ["objects", "relations"],
+        "interp": [],
+    }[kind]
+    if any(key in obj and type(obj[key]) is not list for key in arrays):
+        return True
+    if kind == "ring" and any(type(plane) is not list or any(type(row) is not list for row in plane)
+                              for plane in obj.get("N", [])):
+        return True
+    generators = obj.get("generators") if kind == "signature" else None
+    if type(generators) is dict and any(
+        type(spec) is dict and any(key in spec and type(spec[key]) is not list for key in ("src", "tgt"))
+        for spec in generators.values()
+    ):
+        return True
+    return kind == "interp" and any(key in obj and type(obj[key]) is not dict for key in ("dims", "matrices"))
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(cli_cases())
+    def test_every_input_exits_0_1_or_2_with_at_most_one_line(self, case):
+        # random files of every kind, term texts on z2 and standard_pair(2), and
+        # built-in specs; a file with a string where an array belongs is refused
+        argv, files = case
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {}
+            for name, (kind, content) in files.items():
+                paths[name] = os.path.join(tmp, f"{kind}.json")
+                with open(paths[name], "wb") as fh:
+                    fh.write(content)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run([paths.get(arg, arg) for arg in argv])
+        err = err.getvalue()
+        assert code in (0, 1, 2) and "Traceback" not in err
+        if code == 2:
+            assert err.count("\n") == 1 and err.startswith("error: "), err
+        else:
+            assert err == ""
+        if any(misshapen(kind, content) for kind, content in files.values()):
+            assert code == 2, (argv, files, out.getvalue())

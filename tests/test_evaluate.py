@@ -31,6 +31,7 @@ from tqftkit.frobenius import (
     BilinearPairing,
     FrobeniusAlgebra,
     NotUnital,
+    admits_frobenius_form,
     check_axioms,
     check_morphism,
     from_economy,
@@ -78,6 +79,23 @@ class TestInterpretation:
         sig = parser_signature()
         with pytest.raises(ValueError):
             Interpretation(sig, {label: 0 for label in sig.g0}, {})
+
+    @pytest.mark.parametrize("build, label, dim", [
+        (lambda: Interpretation(parser_signature(), {"a": 1, "b": -2, "c": 1}, {}), "b", -2),
+        (lambda: Interpretation(parser_signature(), {"a": 1, "c": 1}, {}), "b", None),
+        (lambda: FrobeniusAlgebra(0, Matrix.zeros(0, 0), Matrix.zeros(0, 1), Matrix.zeros(0, 0),
+                                  Matrix.zeros(1, 0)), "S1", 0),
+        (lambda: from_economy(0, Matrix.zeros(0, 0), Matrix.zeros(0, 1),
+                              BilinearPairing(0, Matrix.zeros(0, 0))), "S1", 0),
+        (lambda: admits_frobenius_form(-1, Matrix.zeros(0, 0), Matrix.zeros(0, 1)), "S1", -1),
+        (lambda: DualPair(0, 0, Matrix.zeros(0, 1), Matrix.zeros(1, 0)), "pp", 0),
+        (lambda: DualPair(2, 0, Matrix.zeros(0, 1), Matrix.zeros(1, 0)), "pm", 0),
+    ])
+    def test_non_positive_dimension_is_a_shape_error_everywhere(self, build, label, dim):
+        # the interpretation every constructor builds makes the one check
+        with pytest.raises(ShapeError) as err:
+            build()
+        assert str(err.value) == f"object {label!r}: dimension must be positive, got {dim!r}"
 
 
 class TestEval:

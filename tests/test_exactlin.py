@@ -251,6 +251,16 @@ class TestFromEntries:
         with pytest.raises(TypeError, match="not an exact scalar: 0.5"):
             Matrix.from_entries(2, 2, {(0, 1): 0.5})
 
+    def test_immutable_and_bounded(self):
+        m = Matrix.identity(2)
+        with pytest.raises(AttributeError, match="^Matrix is immutable$"):
+            m.rows = 3
+        with pytest.raises(IndexError, match=r"^\(2,0\) outside 2x2$"):
+            m.entry(2, 0)
+        with pytest.raises(IndexError, match=r"^\(0,-1\) outside 2x2$"):
+            m.entry(0, -1)
+        assert m == Matrix.identity(2)
+
     def test_dense_adapter_messages(self):
         with pytest.raises(ShapeError, match="^negative shape -1x2$"):
             Matrix(-1, 2, [])

@@ -167,6 +167,10 @@ class TestFromEconomy:
         with pytest.raises(ShapeError, match="dimension must be positive"):
             admits_frobenius_form(0, empty, Matrix(0, 1, []))
 
+    def test_pairing_of_another_dimension_rejected(self, z2):
+        with pytest.raises(ShapeError, match="^pairing is for dimension 1, algebra has 2$"):
+            from_economy(2, z2.mu, z2.eta, BilinearPairing(1, Matrix.identity(1)))
+
     def test_noncommutative_economy_works(self):
         # the conversion does not need commutativity
         s3 = group_algebra(symmetric_group(3))

@@ -51,6 +51,13 @@ class TestValidation:
     def test_ising_valid(self):
         assert validate_fusion_ring(ising()).ok
 
+    def test_valid_report_describes_itself(self):
+        assert validate_fusion_ring(fibonacci()).describe() == "valid fusion ring"
+
+    def test_vec_z_needs_a_positive_order(self):
+        with pytest.raises(ValueError, match="^order must be positive$"):
+            vec_z(0)
+
     def test_fibonacci_tau_cubed_mutant_stays_associative(self):
         # bumping the tau.tau.tau coefficient alone cannot break
         # associativity: the ring is commutative on one generator, so

@@ -68,6 +68,12 @@ class TestSignature:
         sig = bord2_signature()
         assert typecheck(parse_term("cap ; cup", sig), sig) == ((), ())
 
+    def test_negative_genus_rejected(self):
+        with pytest.raises(ValueError, match="^genus must be nonnegative$"):
+            genus_term(-1)
+        with pytest.raises(ValueError, match="^genus must be nonnegative$"):
+            surface_invariant(trivial_algebra(), -1)
+
     def test_genus_terms_are_closed(self):
         sig = bord2_signature()
         for g in range(4):
@@ -217,6 +223,14 @@ class TestConnectedSum:
             connected_sum_identity(
                 alg, parse_term("copants ; pants ; cup", bord2_signature()), genus_term(0)
             )
+
+    def test_zero_sphere_fails_the_gate(self):
+        # a line with eps . eta = 0 breaks the counit law, so the gate refuses it
+        # before any sphere value is read
+        zero = Matrix.scalar(0)
+        alg = FrobeniusAlgebra(1, Matrix.scalar(1), Matrix.scalar(1), Matrix.scalar(1), zero)
+        with pytest.raises(ValueError, match="failing axioms: counit"):
+            connected_sum_identity(alg, genus_term(0), genus_term(0))
 
     def test_needs_dim_one(self):
         with pytest.raises(ValueError):

@@ -537,6 +537,11 @@ class TestSignature:
                 [Relation("bad", Gen("f"), Id(("a",)))],
             )
 
+    def test_repr_counts_what_it_declares(self):
+        assert repr(bord2_signature()) == (
+            "Signature(objects=['S1'], generators=['pants', 'copants', 'cap', 'cup'], relations=11)"
+        )
+
     def test_shipped_signatures_relations_typecheck(self):
         for sig in (bord2_signature(),):
             for rel in sig.g2:
