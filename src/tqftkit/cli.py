@@ -20,7 +20,14 @@ from functools import cache
 
 from . import algebras, dualpairs, fusion, surfaces
 from .evaluate import Interpretation, bend_value, check_relations, eval_term, reconstruct_map
-from .exactlin import ShapeError, integer_from_json, matrix_from_json, matrix_to_json, scalar_to_str
+from .exactlin import (
+    ShapeError,
+    integer_from_json,
+    matrix_from_json,
+    matrix_to_json,
+    object_from_json,
+    scalar_to_str,
+)
 from .frobenius import (
     AxiomReport,
     FrobeniusAlgebra,
@@ -96,10 +103,11 @@ def _load_interpretation(sig_spec: str, algebra_spec: str) -> Interpretation:
         sig = signature_from_json(sig_obj)
     obj = _load_json(algebra_spec)
     try:
-        dims = {k: integer_from_json(v) for k, v in obj["dims"].items()}
-        mats = {k: matrix_from_json(v) for k, v in obj["matrices"].items()}
+        obj = object_from_json(obj, "top level")
+        dims = {k: integer_from_json(v) for k, v in object_from_json(obj["dims"], "dims").items()}
+        mats = {k: matrix_from_json(v) for k, v in object_from_json(obj["matrices"], "matrices").items()}
         return Interpretation(sig, dims, mats)
-    except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise _fail(algebra_spec, f"bad interpretation: {exc}") from exc
 
 
@@ -203,19 +211,13 @@ def _cmd_recon(args) -> int:
     direct = eval_term(term, interp)
     rebuilt = reconstruct_map(bend_value(direct, src, interp), src, tgt, interp)
     agree = direct == rebuilt
-    payload = {
-        "direct": matrix_to_json(direct),
-        "reconstructed": matrix_to_json(rebuilt),
-        "agree": agree,
-    }
+    payload = {"direct": matrix_to_json(direct), "reconstructed": matrix_to_json(rebuilt), "agree": agree}
     _emit(
         payload,
         args.json,
-        "direct:        "
-        + json.dumps(matrix_to_json(direct))
-        + "\nreconstructed: "
-        + json.dumps(matrix_to_json(rebuilt))
-        + f"\nagree: {str(agree).lower()}",
+        f"direct:        {json.dumps(payload['direct'])}\n"
+        f"reconstructed: {json.dumps(payload['reconstructed'])}\n"
+        f"agree: {str(agree).lower()}",
     )
     return 0 if agree else 1
 

@@ -34,6 +34,7 @@ from .exactlin import (
     integer_from_json,
     matrix_from_json,
     matrix_to_json,
+    object_from_json,
     scalar_from_str,
 )
 from .terms import Relation, Signature, parse_term
@@ -163,10 +164,11 @@ def _vector_from_json(obj: dict, key: str, rows: int, cols: int) -> Matrix:
 
 def dual_pair_from_json(obj: dict) -> DualPair:
     try:
+        obj = object_from_json(obj, "top level")
         dim_u = integer_from_json(obj["dimU"])
         dim_v = integer_from_json(obj["dimV"])
         b = _vector_from_json(obj, "b", dim_u * dim_v, 1)
         d = _vector_from_json(obj, "d", 1, dim_v * dim_u)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed dual pair JSON: {exc}") from exc
     return DualPair(dim_u, dim_v, b, d)

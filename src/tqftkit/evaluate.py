@@ -89,7 +89,8 @@ class Interpretation:
     terms (copairing, pairing), each read as a dim x dim matrix, evaluated
     when the interpretation is built.  A word's copairing and pairing are
     built on first use and kept for the interpretation's lifetime
-    (``word_duality``); ``obj_dim`` and ``gen_matrix`` are read-only views."""
+    (``word_duality``); ``obj_dim``, ``gen_matrix`` and ``duality`` are
+    read-only views."""
 
     def __init__(
         self,
@@ -114,10 +115,11 @@ class Interpretation:
                     f"generator {name!r}: expected {want[0]}x{want[1]} "
                     f"for ({render_word(src)})->({render_word(tgt)}), got {m.rows}x{m.cols}"
                 )
-        self.duality: dict[str, tuple[Matrix, Matrix]] = {}
+        duality = {}
         for label, data in sig.duality.items():
             d = self.obj_dim[label]
-            self.duality[label] = tuple(_eval(t, self).reshape(d, d) for t in (data.coev, data.pairing))
+            duality[label] = tuple(_eval(t, self).reshape(d, d) for t in (data.coev, data.pairing))
+        self.duality: Mapping[str, tuple[Matrix, Matrix]] = MappingProxyType(duality)
         self._word_dualities: dict[tuple[ObjectWord, bool], Matrix] = {}
 
     def __reduce__(self):

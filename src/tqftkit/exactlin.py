@@ -34,7 +34,10 @@ result; no kernel builds a ``Fraction`` per entry.  Their costs, with
 * ``transpose``, ``reshape``, ``scale`` and ``differences`` cost ``nnz``
   plus one step per row.
 * ``rank`` and ``inverse`` unpack the nonzero rows to dense integer rows
-  for one fraction-free Gauss-Jordan elimination (``_reduce``).
+  for one fraction-free Gauss-Jordan elimination (``_reduce``); no other
+  code builds a dense view of a matrix.
+* ``matrix_to_json`` and ``repr`` write each row from its nonzeros: one
+  ``Fraction`` and one text per nonzero, and the shared ``"0"`` elsewhere.
 
 Scalars are ``fractions.Fraction`` (arbitrary precision, denominator
 positive, always reduced, zero is 0/1).  Index conventions are fixed
@@ -81,6 +84,7 @@ __all__ = [
     "matmul",
     "matrix_from_json",
     "matrix_to_json",
+    "object_from_json",
     "padded_matmul",
     "rank",
     "scalar_from_str",
@@ -224,15 +228,6 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    @property
-    def nums(self) -> tuple[int, ...]:
-        """All ``rows * cols`` numerators over ``den`` in row-major order,
-        zeros included.  Built on each access; the kernels never use it."""
-        out = []
-        for row in self.nz:
-            out += _dense(row, self.cols)
-        return tuple(out)
-
     def entry(self, i: int, j: int) -> Fraction:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"({i},{j}) outside {self.rows}x{self.cols}")
@@ -241,16 +236,6 @@ class Matrix:
         if k < len(row) and row[k][0] == j:
             return Fraction(row[k][1], self.den)
         return Fraction(0)
-
-    def to_lists(self) -> list[list[Fraction]]:
-        zero = Fraction(0)
-        out = []
-        for row in self.nz:
-            dense = [zero] * self.cols
-            for j, v in row:
-                dense[j] = Fraction(v, self.den)
-            out.append(dense)
-        return out
 
     def transpose(self) -> "Matrix":
         out = [[] for _ in range(self.cols)]
@@ -332,8 +317,7 @@ class Matrix:
         """Entries as ``p/q``; one whose numerator or denominator may be
         over the interpreter's digit limit shows its bit length instead,
         as ``<20001-bit>``, and is never converted to text."""
-        limit = sys.get_int_max_str_digits()
-        body = "; ".join(" ".join(_repr_scalar(x, limit) for x in row) for row in self.to_lists())
+        body = "; ".join(map(" ".join, _entry_texts(self, _repr_scalar)))
         return f"Matrix({self.rows}x{self.cols}: [{body}])"
 
 
@@ -520,8 +504,9 @@ def scalar_to_str(x: ScalarLike) -> str:
         raise ValueError(f"exact value too long to print: over {limit} digits") from None
 
 
-def _repr_scalar(x: Fraction, limit: int) -> str:
+def _repr_scalar(x: Fraction) -> str:
     bits = max(x.numerator.bit_length(), x.denominator.bit_length())
+    limit = sys.get_int_max_str_digits()
     # an integer of b bits has at most floor(b log10 2) + 1 digits
     if limit and bits * 30103 // 100000 >= limit:
         return f"{'-' if x < 0 else ''}<{bits}-bit>"
@@ -529,10 +514,11 @@ def _repr_scalar(x: Fraction, limit: int) -> str:
 
 
 def integer_from_json(x) -> int:
-    """``x`` as an int; booleans and non-integral numbers are malformed."""
-    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
-        raise ValueError(f"not an integer: {x!r}")
-    return int(x)
+    """``x``, a JSON integer or an integral float, as an int; booleans,
+    strings and every other value are malformed."""
+    if type(x) is int or (type(x) is float and x.is_integer()):
+        return int(x)
+    raise ValueError(f"not an integer: {x!r}")
 
 
 def array_from_json(x, what: str) -> list:
@@ -540,6 +526,14 @@ def array_from_json(x, what: str) -> list:
     the TypeError otherwise names it as ``what``."""
     if type(x) is not list:
         raise TypeError(f"{what} must be a JSON array, got {type(x).__name__}")
+    return x
+
+
+def object_from_json(x, what: str) -> dict:
+    """``x``, which must be a JSON object; the TypeError otherwise names it
+    as ``what``."""
+    if type(x) is not dict:
+        raise TypeError(f"{what} must be a JSON object, got {type(x).__name__}")
     return x
 
 
@@ -551,8 +545,20 @@ def scalar_from_str(s: Union[str, int]) -> Fraction:
         raise ValueError(f"not a rational scalar: {s!r}") from exc
 
 
+def _entry_texts(a: Matrix, text) -> list[list[str]]:
+    """The rows of ``a`` as entry texts, written from ``nz``: ``text`` of each
+    nonzero and ``"0"`` wherever a row has no pair."""
+    out = []
+    for row in a.nz:
+        texts = ["0"] * a.cols
+        for j, v in row:
+            texts[j] = text(Fraction(v, a.den))
+        out.append(texts)
+    return out
+
+
 def matrix_to_json(a: Matrix) -> list[list[str]]:
-    return [[scalar_to_str(x) for x in row] for row in a.to_lists()]
+    return _entry_texts(a, scalar_to_str)
 
 
 def matrix_from_json(obj) -> Matrix:

@@ -54,6 +54,7 @@ from .exactlin import (
     matmul,
     matrix_from_json,
     matrix_to_json,
+    object_from_json,
     padded_matmul,
     rank,
     scalar_from_str,
@@ -376,8 +377,9 @@ def algebra_from_json(obj: dict) -> FrobeniusAlgebra:
     and is converted on load.
     """
     try:
+        obj = object_from_json(obj, "top level")
         dim = integer_from_json(obj["dim"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed algebra JSON: {exc}") from exc
     try:
         basis = tuple(array_from_json(obj["basis"], "basis")) if "basis" in obj else None

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .evaluate import Interpretation, check_relations
-from .exactlin import Matrix, array_from_json, integer_from_json
+from .exactlin import Matrix, array_from_json, integer_from_json, object_from_json
 from .frobenius import BilinearPairing, FrobeniusAlgebra, _algebra_signature, _complete
 
 __all__ = [
@@ -223,6 +223,7 @@ def fusion_ring_to_json(ring: FusionRing) -> dict:
 
 def fusion_ring_from_json(obj: dict) -> FusionRing:
     try:
+        obj = object_from_json(obj, "top level")
         labels = tuple(array_from_json(obj["labels"], "labels"))
         dual = tuple(integer_from_json(x) for x in array_from_json(obj["dual"], "dual"))
         table = tuple(

@@ -36,9 +36,10 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import reduce
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .exactlin import array_from_json
+from .exactlin import array_from_json, object_from_json
 
 ObjectWord = tuple[str, ...]
 
@@ -207,9 +208,11 @@ class Signature:
     from object names and from the reserved words ``id`` and ``swap``),
     that every relation side type-checks with identical endpoints, and
     that any designated duality terms have the shapes ``() -> (x, x)``
-    and ``(x, x) -> ()``.  ``sides`` lists the distinct relation sides
-    (by ``==``) in first-seen order and ``side_pairs[k]`` the indices of
-    relation k's two sides in it, so an evaluator need never hash a term.
+    and ``(x, x) -> ()``.  ``g1`` and ``duality`` are read-only views, so
+    a signature is never changed after construction.  ``sides`` lists the
+    distinct relation sides (by ``==``) in first-seen order and
+    ``side_pairs[k]`` the indices of relation k's two sides in it, so an
+    evaluator need never hash a term.
     """
 
     def __init__(
@@ -220,12 +223,16 @@ class Signature:
         duality: Mapping[str, DualityData] | None = None,
     ):
         self.g0: tuple[str, ...] = tuple(g0)
-        self.g1: dict[str, tuple[ObjectWord, ObjectWord]] = {
+        self.g1: Mapping[str, tuple[ObjectWord, ObjectWord]] = MappingProxyType({
             name: (tuple(src), tuple(tgt)) for name, (src, tgt) in g1.items()
-        }
+        })
         self.g2: tuple[Relation, ...] = tuple(g2)
-        self.duality: dict[str, DualityData] = dict(duality or {})
+        self.duality: Mapping[str, DualityData] = MappingProxyType(dict(duality or {}))
         self._validate()
+
+    def __reduce__(self):
+        # pickle and deepcopy rebuild from the generators, relations and duality
+        return Signature, (self.g0, dict(self.g1), self.g2, dict(self.duality))
 
     def _validate(self) -> None:
         seen = set()
@@ -274,7 +281,7 @@ class Signature:
 
 
 def _check_name(name: str) -> None:
-    if not name or not (name[0].isalpha() or name[0] == "_"):
+    if type(name) is not str or not name or not (name[0].isalpha() or name[0] == "_"):
         raise ValueError(f"invalid name {name!r}")
     if not all(ch.isalnum() or ch == "_" for ch in name):
         raise ValueError(f"invalid name {name!r}")
@@ -289,7 +296,8 @@ _COMBINE = object()
 def fold(t: Term, leaf, combine, ctx):
     """The value of ``t``: ``leaf(node, ctx)`` at each generator, identity
     and swap, ``combine(node, first, second, ctx)`` at each composition and
-    tensor on its factors' values, in the module docstring's walk order."""
+    tensor on its factors' values, in the module docstring's walk order.
+    Any other node is no term: TypeError, before ``leaf`` sees it."""
     values = []  # values of finished subterms, in post-order
     stack: list = [t]
     while stack:
@@ -302,8 +310,10 @@ def fold(t: Term, leaf, combine, ctx):
         elif node is _COMBINE:
             second = values.pop()
             values[-1] = combine(stack.pop(), values[-1], second, ctx)
-        else:
+        elif kind is Gen or kind is Id or kind is Swap:
             values.append(leaf(node, ctx))
+        else:
+            raise TypeError(f"not a term: {node!r}")
     return values[0]
 
 
@@ -329,8 +339,6 @@ def _from_key(key: tuple) -> Term:
 
 def _key_leaf(t: Term, key: list) -> None:
     kind = type(t)
-    if kind not in (Gen, Id, Swap):
-        raise TypeError(f"not a term: {t!r}")
     key.append((kind, *[getattr(t, name) for name in kind.__match_args__]))  # its dataclass fields
 
 
@@ -362,10 +370,8 @@ def _type_leaf(node: Term, ctx) -> tuple[ObjectWord, ObjectWord]:
         return typed
     if kind is Id:
         typed = node.word, node.word
-    elif kind is Swap:
-        typed = node.left + node.right, node.right + node.left
     else:
-        raise TypeError(f"not a term: {node!r}")
+        typed = node.left + node.right, node.right + node.left
     for label in typed[0]:
         if label not in sig.g0:
             raise UnknownObject(label, _path_to(root, node))
@@ -525,6 +531,8 @@ def _describe(tok) -> str:
 
 def parse_term(text: str, sig: Signature) -> Term:
     """Parse a DSL term and type-check it against ``sig``, which keeps its type."""
+    if type(text) is not str:
+        raise TypeError(f"term text must be a string, got {type(text).__name__}")
     t = _parse(text)
     typecheck(t, sig)
     return t
@@ -555,10 +563,8 @@ def _render_leaf(t: Term, pieces: list) -> int:
         text = t.name
     elif kind is Id:
         text = f"id[{render_word(t.word)}]"
-    elif kind is Swap:
-        text = f"swap[{_render_swapword(t.left)},{_render_swapword(t.right)}]"
     else:
-        raise TypeError(f"not a term: {t!r}")
+        text = f"swap[{_render_swapword(t.left)},{_render_swapword(t.right)}]"
     pieces.append(["", 0, text, 0])
     return len(pieces) - 1
 
@@ -609,22 +615,22 @@ def signature_to_json(sig: Signature) -> dict:
 
 def signature_from_json(obj: dict) -> Signature:
     try:
+        obj = object_from_json(obj, "top level")
         g0 = array_from_json(obj["objects"], "objects")
-        g1 = {
-            name: (tuple(array_from_json(spec["src"], "src")), tuple(array_from_json(spec["tgt"], "tgt")))
-            for name, spec in obj["generators"].items()
-        }
+        g1 = {}
+        for name, spec in object_from_json(obj["generators"], "generators").items():
+            spec = object_from_json(spec, f"generator {name!r}")
+            g1[name] = tuple(array_from_json(spec["src"], "src")), tuple(array_from_json(spec["tgt"], "tgt"))
         sig = Signature(g0, g1)
-        relations = [
-            Relation(
-                rel.get("name", f"relation{k}"), parse_term(rel["lhs"], sig), parse_term(rel["rhs"], sig)
-            )
-            for k, rel in enumerate(array_from_json(obj.get("relations", []), "relations"))
-        ]
-        duality = {
-            label: DualityData(parse_term(spec["coev"], sig), parse_term(spec["pairing"], sig))
-            for label, spec in obj.get("duality", {}).items()
-        }
-    except (KeyError, TypeError, AttributeError) as exc:
+        relations = []
+        for k, rel in enumerate(array_from_json(obj.get("relations", []), "relations")):
+            rel = object_from_json(rel, f"relation {k}")
+            lhs, rhs = parse_term(rel["lhs"], sig), parse_term(rel["rhs"], sig)
+            relations.append(Relation(rel.get("name", f"relation{k}"), lhs, rhs))
+        duality = {}
+        for label, spec in object_from_json(obj.get("duality", {}), "duality").items():
+            spec = object_from_json(spec, f"duality {label!r}")
+            duality[label] = DualityData(parse_term(spec["coev"], sig), parse_term(spec["pairing"], sig))
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed signature JSON: {exc}") from exc
     return Signature(g0, g1, relations, duality)

@@ -19,6 +19,11 @@ from tqftkit.fusion import fibonacci, grothendieck_frobenius, ising, vec_z
 from tqftkit.terms import Compose, Gen, Id, Signature, Swap, Tensor, typecheck
 
 
+def dense(m):
+    """``m`` as rows of ``Fraction`` entries, read one ``entry`` at a time."""
+    return [[m.entry(i, j) for j in range(m.cols)] for i in range(m.rows)]
+
+
 def eleven_algebras():
     """The named algebra zoo used across the acceptance criteria."""
     return [

@@ -514,12 +514,14 @@ class TestErrorDiagnostics:
         assert (code, out, err) == (2, "", f"error: {sig_path}: {message}\n")
 
     @pytest.mark.parametrize("interp, message", [
-        ({"dims": [1], "matrices": {}}, "'list' object has no attribute 'items'"),
-        ({"dims": {"x": 1}, "matrices": "f"}, "'str' object has no attribute 'items'"),
-        ({"dims": {"x": 1}, "matrices": []}, "'list' object has no attribute 'items'"),
+        ({"dims": [1], "matrices": {}}, "dims must be a JSON object, got list"),
+        ({"dims": {"x": 1}, "matrices": "f"}, "matrices must be a JSON object, got str"),
+        ({"dims": {"x": 1}, "matrices": []}, "matrices must be a JSON object, got list"),
         ({"dims": {"x": 1}, "matrices": {}}, "no matrix assigned to generator 'f'"),
         ({"dims": {"x": 1}, "matrices": {"f": "1"}}, "matrix JSON must be a list of rows"),
         ({"dims": {"x": 0}, "matrices": {"f": []}}, "object 'x': dimension must be positive, got 0"),
+        ({"dims": {"x": "1"}, "matrices": {"f": [["1"]]}}, "not an integer: '1'"),
+        ([{"dims": {"x": 1}, "matrices": {"f": [["1"]]}}], "top level must be a JSON object, got list"),
     ])
     @pytest.mark.parametrize("command", [["eval", "--term", "f"], ["relations"]])
     def test_malformed_interpretation(self, capout, tmp_path, interp, message, command):
@@ -550,6 +552,45 @@ class TestErrorDiagnostics:
     def test_string_is_not_an_array(self, capout, tmp_path, kind, obj, what):
         assert self.load(capout, tmp_path, kind, obj) == (
             2, "", f"error: {tmp_path / kind}.json: {LOADERS[kind][1]}{what} must be a JSON array, got str\n"
+        )
+
+    @pytest.mark.parametrize("kind, obj, what", [
+        # each of these strings used to load as the integer it spells
+        ("algebra", {**Z2, "dim": "2"}, "'2'"),
+        ("algebra", {**Z2_FULL, "dim": "2"}, "'2'"),
+        ("pair", {**PAIR, "dimU": "2"}, "'2'"),
+        ("pair", {**PAIR, "dimV": "2"}, "'2'"),
+        ("ring", {**RING, "dual": ["0", 1]}, "'0'"),
+        ("ring", {**RING, "N": [[[1, 0], [0, "1"]], [[0, 1], [1, 0]]]}, "'1'"),
+    ])
+    def test_string_is_not_an_integer(self, capout, tmp_path, kind, obj, what):
+        assert self.load(capout, tmp_path, kind, obj) == (
+            2, "", f"error: {tmp_path / kind}.json: {LOADERS[kind][1]}not an integer: {what}\n"
+        )
+
+    @pytest.mark.parametrize("kind, obj, what", [
+        # each of these used to be reported in Python's words, such as
+        # "list indices must be integers or slices, not str"
+        ("algebra", [Z2], "top level must be a JSON object, got list"),
+        ("pair", [PAIR], "top level must be a JSON object, got list"),
+        ("ring", "1t", "top level must be a JSON object, got str"),
+        ("signature", [SIG], "top level must be a JSON object, got list"),
+        ("signature", {**SIG, "generators": [["a"], ["a"]]}, "generators must be a JSON object, got list"),
+        ("signature", {**SIG, "generators": {"f": [["a"], ["a"]]}}, "generator 'f' must be a JSON object, got list"),
+        ("signature", {**SIG, "relations": [["f", "f"]]}, "relation 0 must be a JSON object, got list"),
+        ("signature", {**SIG, "duality": [1]}, "duality must be a JSON object, got list"),
+        ("signature", {**SIG, "duality": {"a": "f"}}, "duality 'a' must be a JSON object, got str"),
+        ("signature", {**SIG, "relations": [{"lhs": ["f"], "rhs": "f"}]}, "term text must be a string, got list"),
+    ])
+    def test_wrong_json_kind_is_named(self, capout, tmp_path, kind, obj, what):
+        assert self.load(capout, tmp_path, kind, obj) == (
+            2, "", f"error: {tmp_path / kind}.json: {LOADERS[kind][1]}{what}\n"
+        )
+
+    @pytest.mark.parametrize("name", [1, [None]])
+    def test_name_that_is_no_string(self, capout, tmp_path, name):
+        assert self.load(capout, tmp_path, "signature", {**SIG, "objects": [name]}) == (
+            2, "", f"error: {tmp_path / 'signature'}.json: invalid name {name!r}\n"
         )
 
     @pytest.mark.parametrize("kind, obj", [
@@ -742,9 +783,11 @@ def spoiled(draw, kind):
 
 
 def file_contents(kind):
-    """Random bytes, random small JSON under the loader's keys, a valid file, or a spoiled one."""
+    """Random bytes, any small JSON value, random small JSON under the
+    loader's keys, a valid file, or a spoiled one."""
     return st.one_of(
         st.binary(max_size=40),
+        json_values.map(lambda v: json.dumps(v).encode()),
         st.dictionaries(st.sampled_from(KEYS[kind]), json_values, max_size=5).map(lambda v: json.dumps(v).encode()),
         st.sampled_from(BASES[kind]).map(lambda v: json.dumps(v).encode()),
         spoiled(kind).map(lambda v: json.dumps(v).encode()),
@@ -792,7 +835,8 @@ def cli_cases(draw):
 def misshapen(kind, content) -> bool:
     """Whether a file of ``kind`` is no JSON object, or its loader reads a
     value that is no JSON array (no JSON object, for ``dims`` and
-    ``matrices``) where one belongs; such a file must be refused."""
+    ``matrices``) where one belongs, or a string where an integer belongs;
+    such a file must be refused."""
     try:
         obj = json.loads(content.decode("utf-8"))
     except ValueError:
@@ -810,6 +854,15 @@ def misshapen(kind, content) -> bool:
         return True
     if kind == "ring" and any(type(plane) is not list or any(type(row) is not list for row in plane)
                               for plane in obj.get("N", [])):
+        return True
+    integers = {
+        "algebra": [obj.get("dim")],
+        "pair": [obj.get("dimU"), obj.get("dimV")],
+        "ring": obj.get("dual", []) + [x for plane in obj.get("N", []) for row in plane for x in row],
+        "signature": [],
+        "interp": list(obj["dims"].values()) if type(obj.get("dims")) is dict else [],
+    }[kind]
+    if any(type(x) is str for x in integers):
         return True
     generators = obj.get("generators") if kind == "signature" else None
     if type(generators) is dict and any(
@@ -838,6 +891,8 @@ class TestFuzz:
                 code = run([paths.get(arg, arg) for arg in argv])
         err = err.getvalue()
         assert code in (0, 1, 2) and "Traceback" not in err
+        # a wrong JSON kind is named in the loader's words, not in Python's
+        assert "has no attribute" not in err and "indices must be" not in err, err
         if code == 2:
             assert err.count("\n") == 1 and err.startswith("error: "), err
         else:

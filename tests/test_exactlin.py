@@ -5,9 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import dense
 from tqftkit.algebras import cyclic_group, group_algebra
 from tqftkit.evaluate import eval_term
 from tqftkit.exactlin import (
@@ -31,6 +32,19 @@ from tqftkit.terms import parse_term
 scalars = st.fractions(
     min_value=-9, max_value=9, max_denominator=9
 )
+
+
+# entries whose text is over the default digit limit of 4,300
+TOO_LONG = [2**20000, -(3**10000), Fraction(1, 7**6000), Fraction(-(10**5000), 3)]
+
+
+def shaped(entries):
+    """Matrices of every shape up to 4 x 4, zero rows or columns included."""
+    return st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
+        lambda s: st.lists(entries, min_size=s[0] * s[1], max_size=s[0] * s[1]).map(
+            lambda xs: Matrix(s[0], s[1], xs)
+        )
+    )
 
 
 def matrices(rows, cols):
@@ -158,7 +172,7 @@ class TestRank:
         st.integers(min_value=1, max_value=9),
     )
     def test_invariance_under_row_ops(self, m, scale):
-        rows = m.to_lists()
+        rows = dense(m)
         swapped = Matrix.from_rows([rows[-1]] + rows[1:-1] + [rows[0]])
         scaled = Matrix.from_rows([[x * scale for x in rows[0]]] + rows[1:])
         assert rank(m) == rank(swapped) == rank(scaled)
@@ -221,10 +235,10 @@ class TestFromEntries:
         (rows, cols), entries = case
         if rows * cols == 0:
             entries = {}
-        dense = [entries.get((i, j), 0) for i in range(rows) for j in range(cols)]
+        flat = [entries.get((i, j), 0) for i in range(rows) for j in range(cols)]
         m = Matrix.from_entries(rows, cols, entries)
-        assert m == Matrix(rows, cols, dense)
-        assert m.to_lists() == [[Fraction(entries.get((i, j), 0)) for j in range(cols)] for i in range(rows)]
+        assert m == Matrix(rows, cols, flat)
+        assert dense(m) == [[Fraction(entries.get((i, j), 0)) for j in range(cols)] for i in range(rows)]
 
     def test_canonical_form(self):
         m = Matrix.from_entries(2, 3, {(1, 2): Fraction(1, 6), (1, 0): "1/4", (0, 1): 0, (0, 0): 2})
@@ -295,6 +309,22 @@ class TestSerialization:
         m = Matrix.from_rows([[2**20000, Fraction(-1, 3**10000)], [Fraction(1, 2), 0]])
         assert repr(m) == "Matrix(2x2: [<20001-bit> -<15850-bit>; 1/2 0])"
         assert repr(Matrix.scalar(-(10 ** (digit_limit - 1)))) == f"Matrix(1x1: [-1{'0' * (digit_limit - 1)}])"
+
+    @settings(max_examples=200, deadline=None)
+    @given(shaped(st.one_of(st.just(0), scalars)))
+    def test_json_is_written_from_the_nonzeros(self, m):
+        assert matrix_to_json(m) == [[str(x) for x in row] for row in dense(m)]
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(shaped(st.one_of(st.just(0), scalars, st.sampled_from(TOO_LONG))))
+    def test_repr_is_written_from_the_nonzeros(self, digit_limit, m):
+        def text(x):
+            # the entries of TOO_LONG have over 10,000 bits and over 4,300 digits
+            bits = max(x.numerator.bit_length(), x.denominator.bit_length())
+            return f"{'-' if x < 0 else ''}<{bits}-bit>" if bits > 10000 else str(x)
+
+        body = "; ".join(" ".join(map(text, row)) for row in dense(m))
+        assert repr(m) == f"Matrix({m.rows}x{m.cols}: [{body}])"
 
     def test_bad_scalar(self):
         with pytest.raises(ValueError):
@@ -478,7 +508,6 @@ def test_canonical_form():
     ]
     for m in built:
         assert (m.nz, m.den) == ((((0, 3), (1, 2)), ((1, 12),)), 6)
-        assert m.nums == (3, 2, 0, 12)
         assert m == built[0] and hash(m) == hash(built[0])
     integral = matmul(Matrix.from_rows([[half, half]]), Matrix.column([4, 2]))
     assert integral.den == 1 and integral.nz == (((0, 3),),)

@@ -113,6 +113,8 @@ class TestKeptInterpretation:
             interp.gen_matrix["cup"] = z2.eps.scale(2)
         with pytest.raises(TypeError):
             interp.obj_dim["S1"] = 3
+        with pytest.raises(TypeError):
+            interp.duality["S1"] = interp.duality["S1"][::-1]
         assert interp.gen_matrix["cup"] == z2.eps and interp.obj_dim == {"S1": 2}
         assert check_axioms(z2).is_frobenius
 

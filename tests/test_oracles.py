@@ -33,7 +33,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import eleven_algebras, enumerate_terms, random_term, term_with_source
+from conftest import dense, eleven_algebras, enumerate_terms, random_term, term_with_source
 from test_exactlin import reference_inverse, reference_kron, reference_reduce
 from test_frobenius import invalid_morphisms, valid_morphisms
 from tqftkit import dualpairs, evaluate, exactlin, frobenius, terms
@@ -260,7 +260,7 @@ def outcome(build):
 
 def bumped(m, k):
     """``m`` with its k-th row-major entry increased by one."""
-    flat = [x for row in m.to_lists() for x in row]
+    flat = [x for row in dense(m) for x in row]
     flat[k] += 1
     return Matrix(m.rows, m.cols, flat)
 
@@ -433,7 +433,7 @@ def signed_permutations(n):
 
 
 def one_entry_changes(m):
-    flat = [x for row in m.to_lists() for x in row]
+    flat = [x for row in dense(m) for x in row]
     for k, step in itertools.product(range(len(flat)), (1, -1)):
         changed = list(flat)
         changed[k] += step
@@ -809,7 +809,7 @@ def sparse(rows_list, cols):
     return Matrix(len(rows_list), cols, [x for row in rows_list for x in row])
 
 
-def assert_matches(m, dense, shape):
+def assert_matches(m, rows, shape):
     """``m`` is canonical and holds exactly the dense rows."""
     assert m.shape == shape
     assert len(m.nz) == m.rows and m.den > 0
@@ -818,8 +818,7 @@ def assert_matches(m, dense, shape):
         assert columns == sorted(set(columns)) and all(0 <= j < m.cols for j in columns)
         assert all(v for _, v in row)
     assert gcd(m.den, *[v for row in m.nz for _, v in row]) == 1
-    assert m.to_lists() == dense
-    assert [[m.entry(i, j) for j in range(m.cols)] for i in range(m.rows)] == dense
+    assert dense(m) == rows
 
 
 EDGE_SHAPES = [(0, 3), (3, 0), (0, 0), (1, 1)]
@@ -836,7 +835,6 @@ def test_constructor_keeps_only_the_nonzeros():
         m = sparse(dense, cols)
         assert_matches(m, dense, (rows, cols))
         assert sum(map(len, m.nz)) == sum(1 for row in dense for x in row if x)
-        assert m.nums == tuple(int(x * m.den) for row in dense for x in row)
         assert matrix_to_json(m) == [[str(x) for x in row] for row in dense]
 
 
@@ -981,7 +979,7 @@ def dense_eval(t, interp):
     """Evaluate a term over dense Fraction rows: explicit identities,
     swaps, products and Kronecker products."""
     if isinstance(t, Gen):
-        return interp.gen_matrix[t.name].to_lists()
+        return dense(interp.gen_matrix[t.name])
     if isinstance(t, Id):
         return dense_identity(interp.dim(t.word))
     if isinstance(t, Swap):
@@ -1024,7 +1022,7 @@ def test_eval_term_matches_dense_evaluator(name, rng, depth):
     t = random_term(rng, interp.sig, depth)
     src, tgt = typecheck(t, interp.sig)
     assume(interp.dim(src) * interp.dim(tgt) <= 6561)
-    assert eval_term(t, interp).to_lists() == dense_eval(t, interp)
+    assert dense(eval_term(t, interp)) == dense_eval(t, interp)
 
 
 # --- leg-wise evaluation against the per-node evaluator ---------------------

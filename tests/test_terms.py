@@ -1,5 +1,6 @@
 """Term language: type checking, parsing, rendering."""
 
+import copy
 import gc
 import os
 import pickle
@@ -558,6 +559,29 @@ class TestSignature:
         ]
         assert back.duality.keys() == sig.duality.keys()
         assert back.duality["S1"].coev == sig.duality["S1"].coev
+
+    def test_generators_and_duality_are_read_only(self):
+        # a write would leave the types kept on terms stale
+        sig = Signature(["x"], {"f": (("x",), ("x", "x"))})
+        f = Gen("f")
+        assert typecheck(f, sig) == (("x",), ("x", "x"))
+        with pytest.raises(TypeError):
+            sig.g1["f"] = (("x",), ("x",))
+        bord2 = bord2_signature()
+        with pytest.raises(TypeError):
+            bord2.duality["S1"] = bord2.duality["S1"]
+        assert typecheck(f, sig) == typecheck(parse_term("f", sig), sig) == (("x",), ("x", "x"))
+
+    def test_pickle_and_copy_rebuild_the_signature(self):
+        sig = bord2_signature()
+        term = parse_term("cap * id[S1] ; pants ; cup", sig)
+        for twin in (pickle.loads(pickle.dumps(sig)), copy.deepcopy(sig)):
+            assert twin is not sig
+            assert (twin.g0, twin.g1, twin.g2, twin.duality) == (sig.g0, sig.g1, sig.g2, sig.duality)
+            assert (twin.sides, twin.side_pairs) == (sig.sides, sig.side_pairs)
+            assert typecheck(term, twin) == typecheck(term, sig) == (("S1",), ())
+            with pytest.raises(TypeError):
+                twin.g1["cap"] = ((), ())
 
     def test_duality_shape_validated(self):
         from tqftkit.terms import DualityData
