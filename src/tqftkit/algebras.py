@@ -55,7 +55,11 @@ class FiniteGroupTable:
             for j in range(n):
                 if not 0 <= self.mult[i][j] < n:
                     raise ValueError("table entry out of range")
+        if not all(0 <= g < n for g in self.inverse):
+            raise ValueError("inverse entry out of range")
         e = self.identity
+        if not 0 <= e < n:
+            raise ValueError(f"identity {e} out of range")
         for i in range(n):
             if self.mult[e][i] != i or self.mult[i][e] != i:
                 raise ValueError(f"element {e} is not an identity")

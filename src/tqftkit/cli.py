@@ -124,11 +124,8 @@ def _load_term(spec: str, sig: Signature) -> Term:
         return parse_term(text, sig)
 
 
-def _emit(payload, as_json: bool, text: str | None = None) -> None:
-    if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=False))
-    else:
-        print(text if text is not None else payload)
+def _emit(payload, as_json: bool, text: str) -> None:
+    print(json.dumps(payload, indent=2, sort_keys=False) if as_json else text)
 
 
 def _cmd_check(args) -> int:

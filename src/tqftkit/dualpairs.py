@@ -56,12 +56,9 @@ class ZorroViolation(ValueError):
     """One of the two snake identities fails; ``side`` names the failing
     relation of ``bord1_signature``."""
 
-    def __init__(self, side: str, detail: str = ""):
+    def __init__(self, side: str):
         self.side = side
-        msg = f"Zorro move fails on the {side} side"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+        super().__init__(f"Zorro move fails on the {side} side: does not give the identity")
 
 
 @dataclass(frozen=True)
@@ -85,7 +82,7 @@ class DualPair:
         object.__setattr__(self, "interpretation", interp)
         failing = check_relations(interp).failing()
         if failing:
-            raise ZorroViolation(failing[0], "does not give the identity")
+            raise ZorroViolation(failing[0])
 
 
 def standard_pair(n: int) -> DualPair:

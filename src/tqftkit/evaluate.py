@@ -89,8 +89,8 @@ class Interpretation:
     terms (copairing, pairing), each read as a dim x dim matrix, evaluated
     when the interpretation is built.  A word's copairing and pairing are
     built on first use and kept for the interpretation's lifetime
-    (``word_duality``); ``obj_dim``, ``gen_matrix`` and ``duality`` are
-    read-only views."""
+    (``word_duality``).  No attribute can be set after construction, and
+    ``obj_dim``, ``gen_matrix`` and ``duality`` are read-only views."""
 
     def __init__(
         self,
@@ -98,9 +98,10 @@ class Interpretation:
         obj_dim: Mapping[str, int],
         gen_matrix: Mapping[str, Matrix],
     ):
-        self.sig = sig
-        self.obj_dim = MappingProxyType(dict(obj_dim))
-        self.gen_matrix = MappingProxyType(dict(gen_matrix))
+        fields = vars(self)  # written here, as __setattr__ is blocked
+        fields["sig"] = sig
+        fields["obj_dim"] = MappingProxyType(dict(obj_dim))
+        fields["gen_matrix"] = MappingProxyType(dict(gen_matrix))
         for label in sig.g0:
             d = self.obj_dim.get(label)
             if not isinstance(d, int) or d < 1:
@@ -119,8 +120,11 @@ class Interpretation:
         for label, data in sig.duality.items():
             d = self.obj_dim[label]
             duality[label] = tuple(_eval(t, self).reshape(d, d) for t in (data.coev, data.pairing))
-        self.duality: Mapping[str, tuple[Matrix, Matrix]] = MappingProxyType(duality)
-        self._word_dualities: dict[tuple[ObjectWord, bool], Matrix] = {}
+        fields["duality"] = MappingProxyType(duality)
+        fields["_word_dualities"] = {}
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Interpretation is immutable")
 
     def __reduce__(self):
         # pickle and deepcopy rebuild from the signature and generator values

@@ -39,9 +39,10 @@ result; no kernel builds a ``Fraction`` per entry.  Their costs, with
 * ``matrix_to_json`` and ``repr`` write each row from its nonzeros: one
   ``Fraction`` and one text per nonzero, and the shared ``"0"`` elsewhere.
 
-Scalars are ``fractions.Fraction`` (arbitrary precision, denominator
-positive, always reduced, zero is 0/1).  Index conventions are fixed
-once here and used by every higher layer:
+Scalars are ``int`` and ``fractions.Fraction``: the constructors and
+``scale`` read them through ``numerator`` and ``denominator`` and raise
+TypeError on anything else, text, ``bool`` and ``float`` included.
+Index conventions are fixed once here and used by every higher layer:
 
 * ``kron(a, b)`` sends row pair ``(i_a, i_b)`` to ``i_a * b.rows + i_b``
   and columns likewise.
@@ -50,10 +51,14 @@ once here and used by every higher layer:
 
 Scalars serialize as ``"p/q"`` with ``/q`` omitted when the denominator
 is one; matrices serialize as JSON lists of rows of such strings.
+``scalar_from_str`` is the one place where text becomes a scalar, and
+it reads only that form: an optional sign, ASCII digits, and optionally
+``/`` and ASCII digits.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from bisect import bisect_left
 from collections import defaultdict
@@ -70,7 +75,8 @@ BACKEND = "python"
 _SPARSE = 8
 
 Scalar = Fraction
-ScalarLike = Union[Fraction, int, str]
+ScalarLike = Union[Fraction, int]
+_SCALAR_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # scalar text as scalar_to_str writes it
 
 __all__ = [
     "BACKEND",
@@ -97,14 +103,6 @@ class ShapeError(ValueError):
     """Raised when matrix shapes do not fit the requested operation."""
 
 
-def _as_fraction(x: ScalarLike) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    raise TypeError(f"not an exact scalar: {x!r}")
-
-
 class Matrix:
     """An immutable rows-by-cols matrix of exact rationals.
 
@@ -126,7 +124,7 @@ class Matrix:
         # for its nonzeros only
         positions = product(range(rows), range(cols))
         return cls.from_entries(rows, cols, {
-            ij: x for ij, x in zip(positions, entries) if x or not isinstance(x, (int, Fraction))
+            ij: x for ij, x in zip(positions, entries) if x or type(x) not in (int, Fraction)
         })
 
     @classmethod
@@ -144,7 +142,8 @@ class Matrix:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ShapeError(f"entry ({i},{j}) outside {rows}x{cols}")
             if type(x) is not int:
-                x = _as_fraction(x)
+                if not isinstance(x, Fraction):
+                    raise TypeError(f"not an exact scalar: {x!r}")
                 if x.denominator == 1:
                     x = x.numerator
                 else:
@@ -176,7 +175,7 @@ class Matrix:
         return m
 
     @classmethod
-    def _raw(cls, rows: int, cols: int, nz, den: int = 1) -> "Matrix":
+    def _raw(cls, rows: int, cols: int, nz, den: int) -> "Matrix":
         """The matrix ``nz / den`` brought to lowest terms.  ``nz`` is one
         sequence per row of sorted, zero-free ``(column, numerator)``
         pairs; ``den`` is any nonzero integer.  A tuple of tuple rows is
@@ -267,15 +266,16 @@ class Matrix:
         return Matrix._new(rows, cols, tuple(out), self.den)
 
     def scale(self, factor: ScalarLike) -> "Matrix":
-        f = _as_fraction(factor)
-        p = f.numerator
+        if type(factor) is not int and not isinstance(factor, Fraction):
+            raise TypeError(f"not an exact scalar: {factor!r}")
+        p = factor.numerator
         if not p:
             return Matrix.zeros(self.rows, self.cols)
         return Matrix._raw(
             self.rows,
             self.cols,
             [[(j, p * v) for j, v in row] for row in self.nz],
-            self.den * f.denominator,
+            self.den * factor.denominator,
         )
 
     def differences(self, other: "Matrix") -> Iterator[int]:
@@ -496,7 +496,6 @@ def inverse(a: Matrix) -> Matrix:
 def scalar_to_str(x: ScalarLike) -> str:
     """``x`` as ``"p/q"``; raises ValueError when p or q has more digits
     than the interpreter converts to text (``sys.get_int_max_str_digits()``)."""
-    x = _as_fraction(x)
     try:
         return str(x)
     except ValueError:
@@ -538,9 +537,15 @@ def object_from_json(x, what: str) -> dict:
 
 
 def scalar_from_str(s: Union[str, int]) -> Fraction:
-    """``s`` as an exact rational; a boolean or a float that is no integer is malformed."""
+    """``s``, a JSON integer or text ``p`` or ``p/q`` as ``scalar_to_str`` writes it, as an exact
+    rational; other text, a boolean and a float that is no integer are malformed."""
     try:
-        return Fraction(integer_from_json(s) if isinstance(s, (bool, float)) else s)
+        if type(s) is not str:
+            return Fraction(integer_from_json(s) if isinstance(s, (bool, float)) else s)
+        if not _SCALAR_TEXT.fullmatch(s):
+            raise ValueError(s)
+        p, _, q = s.partition("/")  # each part read by int, in time bounded by its length
+        return Fraction(int(p), int(q or 1))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational scalar: {s!r}") from exc
 

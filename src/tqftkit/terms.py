@@ -208,8 +208,9 @@ class Signature:
     from object names and from the reserved words ``id`` and ``swap``),
     that every relation side type-checks with identical endpoints, and
     that any designated duality terms have the shapes ``() -> (x, x)``
-    and ``(x, x) -> ()``.  ``g1`` and ``duality`` are read-only views, so
-    a signature is never changed after construction.  ``sides`` lists the
+    and ``(x, x) -> ()``, and that relation names are strings.  No
+    attribute can be set after construction and ``g1`` and ``duality``
+    are read-only views, so a signature is never changed.  ``sides`` lists the
     distinct relation sides (by ``==``) in first-seen order and
     ``side_pairs[k]`` the indices of relation k's two sides in it, so an
     evaluator need never hash a term.
@@ -222,13 +223,15 @@ class Signature:
         g2: Sequence[Relation] = (),
         duality: Mapping[str, DualityData] | None = None,
     ):
-        self.g0: tuple[str, ...] = tuple(g0)
-        self.g1: Mapping[str, tuple[ObjectWord, ObjectWord]] = MappingProxyType({
-            name: (tuple(src), tuple(tgt)) for name, (src, tgt) in g1.items()
-        })
-        self.g2: tuple[Relation, ...] = tuple(g2)
-        self.duality: Mapping[str, DualityData] = MappingProxyType(dict(duality or {}))
+        fields = vars(self)  # written here and in _validate, as __setattr__ is blocked
+        fields["g0"] = tuple(g0)
+        fields["g1"] = MappingProxyType({name: (tuple(src), tuple(tgt)) for name, (src, tgt) in g1.items()})
+        fields["g2"] = tuple(g2)
+        fields["duality"] = MappingProxyType(dict(duality or {}))
         self._validate()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Signature is immutable")
 
     def __reduce__(self):
         # pickle and deepcopy rebuild from the generators, relations and duality
@@ -251,7 +254,9 @@ class Signature:
                     raise UnknownObject(label)
         index: dict[Term, int] = {}
         pairs = []
-        for rel in self.g2:
+        for k, rel in enumerate(self.g2):
+            if type(rel.name) is not str:
+                raise ValueError(f"relation {k} name must be a string, got {rel.name!r}")
             ls, lt = typecheck(rel.lhs, self)
             rs, rt = typecheck(rel.rhs, self)
             if (ls, lt) != (rs, rt):
@@ -261,8 +266,8 @@ class Signature:
                     f"({render_word(rs)})->({render_word(rt)})"
                 )
             pairs.append(tuple(index.setdefault(side, len(index)) for side in (rel.lhs, rel.rhs)))
-        self.sides: tuple[Term, ...] = tuple(index)  # a dict keeps insertion order
-        self.side_pairs: tuple[tuple[int, int], ...] = tuple(pairs)
+        vars(self)["sides"] = tuple(index)  # a dict keeps insertion order
+        vars(self)["side_pairs"] = tuple(pairs)
         for label, data in self.duality.items():
             if label not in self.g0:
                 raise UnknownObject(label)

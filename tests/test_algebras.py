@@ -43,21 +43,27 @@ class TestGroupTables:
                 2, ((0, 1), (1, 1)), (0, 1), 0, ("e", "g")
             )  # g*g = g breaks inverses
 
-    @pytest.mark.parametrize("order, mult, inverse, names, message", [
-        (2, ((0, 1),), (0, 1), ("e", "g"), "multiplication table must be order x order"),
-        (2, ((0, 1), (1,)), (0, 1), ("e", "g"), "multiplication table must be order x order"),
-        (2, ((0, 1), (1, 0)), (0,), ("e", "g"), "inverse list and names must have length order"),
-        (2, ((0, 1), (1, 0)), (0, 1), ("e",), "inverse list and names must have length order"),
-        (2, ((0, 1), (1, 2)), (0, 1), ("e", "g"), "table entry out of range"),
-        (2, ((1, 0), (0, 1)), (0, 1), ("e", "g"), "element 0 is not an identity"),
-        (2, ((0, 1), (1, 0)), (0, 0), ("e", "g"), "inverse of element 1 is wrong"),
+    @pytest.mark.parametrize("order, mult, inverse, names, message, identity", [
+        (2, ((0, 1),), (0, 1), ("e", "g"), "multiplication table must be order x order", 0),
+        (2, ((0, 1), (1,)), (0, 1), ("e", "g"), "multiplication table must be order x order", 0),
+        (2, ((0, 1), (1, 0)), (0,), ("e", "g"), "inverse list and names must have length order", 0),
+        (2, ((0, 1), (1, 0)), (0, 1), ("e",), "inverse list and names must have length order", 0),
+        (2, ((0, 1), (1, 2)), (0, 1), ("e", "g"), "table entry out of range", 0),
+        (2, ((1, 0), (0, 1)), (0, 1), ("e", "g"), "element 0 is not an identity", 0),
+        (2, ((0, 1), (1, 0)), (0, 0), ("e", "g"), "inverse of element 1 is wrong", 0),
         # a.a = b and b.b = e, so (a.a).b = e but a.(a.b) = a
         (3, ((0, 1, 2), (1, 2, 0), (2, 0, 0)), (0, 2, 1), ("e", "a", "b"),
-         r"table is not associative at \(1,1,2\)"),
+         r"table is not associative at \(1,1,2\)", 0),
+        # these ended in an IndexError traceback, or loaded with a wrapped
+        # negative index and failed later in group_algebra
+        (2, ((0, 1), (1, 0)), (0, 1), ("e", "g"), "identity 5 out of range", 5),
+        (2, ((1, 0), (0, 1)), (0, 1), ("e", "g"), "identity -1 out of range", -1),
+        (2, ((0, 1), (1, 0)), (0, 7), ("e", "g"), "inverse entry out of range", 0),
+        (2, ((0, 1), (1, 0)), (0, -1), ("e", "g"), "inverse entry out of range", 0),
     ])
-    def test_malformed_table_names_its_fault(self, order, mult, inverse, names, message):
+    def test_malformed_table_names_its_fault(self, order, mult, inverse, names, message, identity):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            FiniteGroupTable(order, mult, inverse, 0, names)
+            FiniteGroupTable(order, mult, inverse, identity, names)
 
     @pytest.mark.parametrize("build, message", [
         (lambda: cyclic_group(0), "order must be positive"),

@@ -34,6 +34,7 @@ Z2_FULL = {"dim": 2, "mu": Z2["mu"], "eta": ["1", "0"],
 PAIR = {"dimU": 2, "dimV": 2, "b": ["1", "0", "0", "1"], "d": ["1", "0", "0", "1"]}
 RING = {"labels": ["1", "t"], "dual": [0, 1], "N": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]}
 SIG = {"objects": ["a", "b"], "generators": {"f": {"src": ["a"], "tgt": ["a"]}}, "relations": []}
+INTERP = {"dims": {"a": 2, "b": 1}, "matrices": {"f": [["0", "1"], ["1", "0"]]}}
 LOADERS = {  # file kind -> its argv, with F for the file, and the prefix of its errors
     "algebra": (["check", "--algebra", "F"], "malformed algebra JSON: "),
     "pair": (["eval", "--sig", "bord1", "--algebra", "F", "--term", "coev ; swap[pp,pm] ; ev"],
@@ -395,6 +396,37 @@ class TestErrorDiagnostics:
                                 "--algebra", str(path))
         self.one_error_line(code, out, err, "inexact_pair.json", "not a rational scalar: inf")
 
+    @pytest.mark.parametrize("kind, obj, where", [
+        ("algebra", Z2, ("mu", 0, 0)), ("algebra", Z2, ("eta", 1)), ("algebra", Z2_FULL, ("delta", 3, 0)),
+        ("algebra", Z2_FULL, ("eps", 0)), ("algebra", Z2, ("pairing", 1, 1)),
+        ("pair", PAIR, ("b", 0)), ("pair", PAIR, ("d", 3)),
+        ("pair", {**PAIR, "b": [["1"], ["0"], ["0"], ["1"]]}, ("b", 2, 0)),
+        ("interp", INTERP, ("matrices", "f", 0, 1)),
+    ])
+    @pytest.mark.parametrize("bad", ["1.5", "1_0", " 1", "\u0661", "1/0", "1e3"])
+    def test_scalar_text_outside_p_q_is_refused(self, capout, tmp_path, kind, obj, where, bad):
+        # Fraction's own grammar read each of these but "1/0" as a number
+        obj = copy.deepcopy(obj)
+        parent = obj
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = bad
+        path, sig = tmp_path / "scalar.json", tmp_path / "sig.json"
+        path.write_text(json.dumps(obj))
+        sig.write_text(json.dumps(SIG))
+        argv, context = {
+            "algebra": (["check", "--algebra"], ""),
+            "pair": (["eval", "--sig", "bord1", "--term", "coev ; swap[pp,pm] ; ev", "--algebra"],
+                     "malformed dual pair JSON: "),
+            "interp": (["eval", "--sig", str(sig), "--term", "f", "--algebra"], "bad interpretation: "),
+        }[kind]
+        assert capout(*argv, str(path)) == (2, "", f"error: {path}: {context}not a rational scalar: {bad!r}\n")
+
+    def test_signed_and_unreduced_scalar_text_loads(self, capout, tmp_path):
+        path = tmp_path / "signed.json"
+        path.write_text('{"dim": 1, "mu": [["+2"]], "eta": ["1/2"], "pairing": [["-3/6"]]}')
+        assert capout("check", "--algebra", str(path))[0] == 0
+
     def test_interpretation_json_with_fractional_dimension(self, capout, tmp_path):
         sig = tmp_path / "sig.json"
         sig.write_text('{"objects": ["a"], "generators": {}, "relations": []}')
@@ -604,7 +636,7 @@ class TestErrorDiagnostics:
     def load(self, capout, tmp_path, kind, obj):
         path, interp = tmp_path / f"{kind}.json", tmp_path / "interp.json"
         path.write_text(json.dumps(obj))
-        interp.write_text('{"dims": {"a": 2, "b": 1}, "matrices": {"f": [["0", "1"], ["1", "0"]]}}')
+        interp.write_text(json.dumps(INTERP))
         argv = [{"F": str(path), "INTERP": str(interp)}.get(arg, arg) for arg in LOADERS[kind][0]]
         return capout(*argv)
 
@@ -705,17 +737,27 @@ class TestModuleEntryPoint:
             assert out is None or capsys.readouterr().out == out
             capsys.readouterr()
 
-    def run_module(self, *argv):
+    def run_module(self, *argv, timeout=60):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
         return subprocess.run(
             [sys.executable, "-m", "tqftkit.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=env, timeout=timeout,
         )
 
     def test_python_m_runs_the_cli(self):
         done = self.run_module("invariant", "--algebra", "z2", "--genus", "2")
         assert done.returncode == 0 and done.stdout == "4\n" and done.stderr == ""
+
+    def test_exponent_text_is_refused_at_once(self, tmp_path):
+        # Fraction's grammar read this 14-byte scalar as 10**100000000, which
+        # took minutes to build
+        path = tmp_path / "exponent.json"
+        path.write_text('{"dim": 1, "mu": [["1"]], "eta": ["1e100000000"], "pairing": [["1"]]}')
+        done = self.run_module("check", "--algebra", str(path), timeout=10)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, "", f"error: {path}: not a rational scalar: '1e100000000'\n"
+        )
 
     def test_python_m_reports_unknown_algebra(self):
         done = self.run_module("invariant", "--algebra", "nope", "--genus", "2")
@@ -738,8 +780,12 @@ BASES = {
     "pair": [PAIR],
     "ring": [RING],
     "signature": [{**SIG, "relations": [{"name": "involution", "lhs": "f ; f", "rhs": "id[a]"}]}],
-    "interp": [{"dims": {"a": 2, "b": 1}, "matrices": {"f": [["0", "1"], ["1", "0"]]}}],
+    "interp": [INTERP],
 }
+# scalar texts that Fraction's own grammar reads but p/q does not; the
+# exponents are small, so a loader that reads them finishes fast
+OFF_GRAMMAR = ["1e3", "-2E-1", "1.5", " 1", "1 ", "1_0", "\u0661"]
+SCALAR_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 # short texts over the DSL's pieces, or any text; at most six names keep values small
 TERM_PIECES = ["cap", "cup", "pants", "copants", "coev", "ev", "id[", "swap[", "S1", "pp", "pm",
                "1", ",", "]", "(", ")", ";", "*", " ", "x", "\u00e9", "$"]
@@ -750,7 +796,7 @@ SPECS = ["z2", "z3", "s3", "milnor:3", "center:[1,2]", "center:[0]", "center:1",
          "milnor:1", "milnor:x", "triangular", "nope", ""]
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 4) | st.sampled_from([0.5, 2.0, 1e300, float("inf")])
-    | st.text(alphabet="01/-abtS", max_size=4),
+    | st.text(alphabet="01/-abtS", max_size=4) | st.sampled_from(OFF_GRAMMAR + ["+2", "-3/6"]),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(alphabet="abfS1", max_size=2), inner, max_size=3),
     max_leaves=10,
 )
@@ -766,17 +812,21 @@ def _nodes(value, path=()):
 @st.composite
 def spoiled(draw, kind):
     """A valid file of ``kind`` with one value at any depth joined into a
-    string (``["1", "0"]`` to ``"10"``), replaced, or dropped."""
+    string (``["1", "0"]`` to ``"10"``), respelt outside ``p/q`` (``"1"``
+    to ``" 1"`` or ``"1e0"``), replaced, or dropped."""
     value = copy.deepcopy(draw(st.sampled_from(BASES[kind])))
     path, node = draw(st.sampled_from(list(_nodes(value))[1:]))
     parent = value
     for key in path[:-1]:
         parent = parent[key]
-    action = draw(st.sampled_from(["join", "replace", "drop"]))
+    action = draw(st.sampled_from(["join", "respell", "replace", "drop"]))
     if action == "drop":
         del parent[path[-1]]
     elif action == "join" and isinstance(node, list):
         parent[path[-1]] = "".join(ch for ch in json.dumps(node) if ch.isalnum())
+    elif action == "respell" and isinstance(node, str):
+        # the same number in Fraction's own grammar, which loaders used to read
+        parent[path[-1]] = draw(st.sampled_from([f" {node}", f"{node}\n", f"{node}e0", f"{node}E-0"]))
     else:
         parent[path[-1]] = draw(json_values)
     return value
@@ -835,8 +885,8 @@ def cli_cases(draw):
 def misshapen(kind, content) -> bool:
     """Whether a file of ``kind`` is no JSON object, or its loader reads a
     value that is no JSON array (no JSON object, for ``dims`` and
-    ``matrices``) where one belongs, or a string where an integer belongs;
-    such a file must be refused."""
+    ``matrices``) where one belongs, a string where an integer belongs, or
+    a scalar text outside ``p/q``; such a file must be refused."""
     try:
         obj = json.loads(content.decode("utf-8"))
     except ValueError:
@@ -863,6 +913,14 @@ def misshapen(kind, content) -> bool:
         "interp": list(obj["dims"].values()) if type(obj.get("dims")) is dict else [],
     }[kind]
     if any(type(x) is str for x in integers):
+        return True
+    vectors = {  # each a vector or a matrix of scalars
+        "algebra": [obj.get(key) for key in ["mu", "eta"] + (["pairing"] if "pairing" in obj else ["delta", "eps"])],
+        "pair": [obj.get("b"), obj.get("d")],
+        "interp": list(obj["matrices"].values()) if type(obj.get("matrices")) is dict else [],
+    }.get(kind, [])
+    scalars = [x for v in vectors if type(v) is list for row in v for x in (row if type(row) is list else [row])]
+    if any(type(x) is str and not SCALAR_TEXT.fullmatch(x) for x in scalars):
         return True
     generators = obj.get("generators") if kind == "signature" else None
     if type(generators) is dict and any(

@@ -315,7 +315,7 @@ class TestBending:
         state = bend_state(Gen("cup"), interp)
         rebuilt = reconstruct_map(state, ("S1",), (), interp)
         assert rebuilt == interp.gen_matrix["cup"]
-        assert rebuilt == Matrix.row(["0", "1/3"])
+        assert rebuilt == Matrix.row([0, Fraction(1, 3)])
 
     def test_reconstruct_shape_check(self, z2_interp):
         with pytest.raises(ShapeError):

@@ -2,6 +2,7 @@
 against ``Fraction`` references."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -212,8 +213,7 @@ entry_values = st.one_of(
     st.just(0),
     st.integers(min_value=-9, max_value=9),
     scalars,
-    scalars.map(str),
-    st.sampled_from(["0", "-0", "0/5", "4/2"]),
+    st.sampled_from([Fraction(0), Fraction(-0), Fraction(0, 5), Fraction(4, 2)]),
 )
 
 
@@ -241,9 +241,9 @@ class TestFromEntries:
         assert dense(m) == [[Fraction(entries.get((i, j), 0)) for j in range(cols)] for i in range(rows)]
 
     def test_canonical_form(self):
-        m = Matrix.from_entries(2, 3, {(1, 2): Fraction(1, 6), (1, 0): "1/4", (0, 1): 0, (0, 0): 2})
+        m = Matrix.from_entries(2, 3, {(1, 2): Fraction(1, 6), (1, 0): Fraction(1, 4), (0, 1): 0, (0, 0): 2})
         assert m.den == 12 and m.nz == (((0, 24),), ((0, 3), (2, 2)))
-        assert Matrix.from_entries(2, 2, {(0, 0): 0, (1, 1): "0/3"}) == Matrix.zeros(2, 2)
+        assert Matrix.from_entries(2, 2, {(0, 0): 0, (1, 1): Fraction(0, 3)}) == Matrix.zeros(2, 2)
         assert Matrix.from_entries(3, 0, {}) == Matrix.zeros(3, 0)
 
     @pytest.mark.parametrize("rows, cols, entries, message", [
@@ -265,6 +265,21 @@ class TestFromEntries:
         with pytest.raises(TypeError, match="not an exact scalar: 0.5"):
             Matrix.from_entries(2, 2, {(0, 1): 0.5})
 
+    @pytest.mark.parametrize("build", [
+        lambda x: Matrix(1, 1, [x]),
+        lambda x: Matrix.from_entries(1, 1, {(0, 0): x}),
+        lambda x: Matrix.from_rows([[x]]),
+        lambda x: Matrix.column([x]),
+        lambda x: Matrix.row([x]),
+        lambda x: Matrix.scalar(x),
+        lambda x: Matrix.identity(2).scale(x),
+    ])
+    @pytest.mark.parametrize("bad", ["1", "1/2", "0", "", True, False, 0.5, 0.0])
+    def test_constructors_take_int_and_fraction_only(self, build, bad):
+        with pytest.raises(TypeError, match=f"^not an exact scalar: {re.escape(repr(bad))}$"):
+            build(bad)
+        assert build(Fraction(3, 6)) == build(Fraction(1, 2)) and build(0) == build(Fraction(0))
+
     def test_immutable_and_bounded(self):
         m = Matrix.identity(2)
         with pytest.raises(AttributeError, match="^Matrix is immutable$"):
@@ -282,11 +297,9 @@ class TestFromEntries:
             Matrix(2, 2, [1, 2, 3])
         with pytest.raises(ShapeError, match="^0x3 matrix needs 0 entries, got 1$"):
             Matrix(0, 3, [1])
-        for bad in (1.5, 0.0, None):
-            with pytest.raises(TypeError, match=f"^not an exact scalar: {bad}$"):
+        for bad in (1.5, 0.0, None, False, "", "1"):
+            with pytest.raises(TypeError, match=f"^not an exact scalar: {bad!r}$"):
                 Matrix(1, 2, [1, bad])
-        with pytest.raises(ValueError):
-            Matrix(1, 2, [1, ""])
         assert Matrix(2, 2, iter([1, 0, 0, 1])) == Matrix.identity(2)
 
 
@@ -329,6 +342,33 @@ class TestSerialization:
     def test_bad_scalar(self):
         with pytest.raises(ValueError):
             scalar_from_str("ten")
+
+    @pytest.mark.parametrize("text", [
+        # Fraction's own grammar read the first eight as numbers
+        "1.5", "1_0", " 1", "1 ", "1\n", "\u0661", "1e3", "-1.5e-3", "inf", "nan", "0x10",
+        "1/0", "", "+", "/2", "1/", "1/-2", "1/+2", "1//2", "--1", "1/2/3", "\u00bd",
+    ])
+    def test_only_p_q_text_is_a_scalar(self, text):
+        with pytest.raises(ValueError) as err:
+            scalar_from_str(text)
+        assert str(err.value) == f"not a rational scalar: {text!r}"
+
+    @pytest.mark.parametrize("value, expected", [
+        ("+2", 2), ("-3/6", Fraction(-1, 2)), ("007", 7), ("-0", 0), ("0/5", 0), ("12/08", Fraction(3, 2)),
+        (3, 3), (-4.0, -4),
+    ])
+    def test_p_q_text_and_json_integers_are_read(self, value, expected):
+        assert scalar_from_str(value) == expected and type(scalar_from_str(value)) is Fraction
+
+    @pytest.mark.parametrize("value", [True, False, 0.1, float("inf"), float("nan")])
+    def test_json_values_that_are_no_integer_are_refused(self, value):
+        with pytest.raises(ValueError, match="^not a rational scalar: "):
+            scalar_from_str(value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.builds(Fraction, st.integers(-(10**300), 10**300), st.integers(1, 10**300)))
+    def test_text_round_trip_of_long_fractions(self, x):
+        assert scalar_from_str(scalar_to_str(x)) == x
 
     def test_matrix_round_trip(self):
         m = Matrix.from_rows([[Fraction(1, 2), 0], [3, Fraction(-2, 5)]])
@@ -501,7 +541,7 @@ def test_canonical_form():
     half = Fraction(1, 2)
     built = [
         Matrix(2, 2, [half, Fraction(1, 3), 0, 2]),
-        Matrix.from_rows([[Fraction(3, 6), Fraction(2, 6)], ["0", Fraction(4, 2)]]),
+        Matrix.from_rows([[Fraction(3, 6), Fraction(2, 6)], [Fraction(0), Fraction(4, 2)]]),
         Matrix.from_rows([[3, 2], [0, 12]]).scale(Fraction(1, 6)),
         matmul(Matrix.scalar(Fraction(1, 6)), Matrix.row([3, 2, 0, 12])).reshape(2, 2),
         matmul(Matrix.from_rows([[half, 0], [0, 2]]), Matrix.from_rows([[1, Fraction(2, 3)], [0, 1]])),

@@ -118,6 +118,16 @@ class TestKeptInterpretation:
         assert interp.gen_matrix["cup"] == z2.eps and interp.obj_dim == {"S1": 2}
         assert check_axioms(z2).is_frobenius
 
+    def test_interpretation_attributes_cannot_be_rebound(self, z2):
+        # a rebound gen_matrix left the kept word dualities on the old matrices
+        interp = z2.interpretation
+        kept = interp.word_duality(("S1", "S1"), True)
+        for name in ("gen_matrix", "obj_dim", "duality", "sig", "_word_dualities", "new"):
+            with pytest.raises(AttributeError, match="^Interpretation is immutable$"):
+                setattr(interp, name, {})
+        assert interp.gen_matrix["cup"] == z2.eps and interp.word_duality(("S1", "S1"), True) is kept
+        assert not hasattr(interp, "new") and check_axioms(z2).is_frobenius
+
     def test_interpretation_holds_the_circle_duality(self, z2):
         copairing, pairing = z2.interpretation.duality["S1"]
         assert copairing == matmul(z2.delta, z2.eta).reshape(2, 2)

@@ -5,6 +5,7 @@ import gc
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 import weakref
@@ -571,6 +572,24 @@ class TestSignature:
         with pytest.raises(TypeError):
             bord2.duality["S1"] = bord2.duality["S1"]
         assert typecheck(f, sig) == typecheck(parse_term("f", sig), sig) == (("x",), ("x", "x"))
+
+    def test_attributes_cannot_be_rebound(self):
+        # a rebound g1 left the type kept on f stale while a fresh parse saw the new one
+        sig = Signature(["x"], {"f": (("x",), ("x", "x"))})
+        f = Gen("f")
+        assert typecheck(f, sig) == (("x",), ("x", "x"))
+        for name, value in [("g1", {"f": (("x",), ("x",))}), ("g0", ("x", "y")), ("g2", ()), ("duality", {}),
+                            ("sides", ()), ("side_pairs", ()), ("new", 1)]:
+            with pytest.raises(AttributeError, match="^Signature is immutable$"):
+                setattr(sig, name, value)
+        assert typecheck(f, sig) == typecheck(parse_term("f", sig), sig) == (("x",), ("x", "x"))
+        assert not hasattr(sig, "new")
+
+    @pytest.mark.parametrize("name", [1, None, ["r"], b"r"])
+    def test_relation_name_must_be_a_string(self, name):
+        f = Gen("f")
+        with pytest.raises(ValueError, match=f"^relation 1 name must be a string, got {re.escape(repr(name))}$"):
+            Signature(["x"], {"f": (("x",), ("x",))}, [Relation("ok", f, f), Relation(name, f, f)])
 
     def test_pickle_and_copy_rebuild_the_signature(self):
         sig = bord2_signature()

@@ -13,12 +13,9 @@ It has run when any line of its header (the whole statement, for a
 simple one) emitted a line event.
 
 The script prints every never-run statement as ``module:line function:
-text`` and compares the list with ``tools/never_run.txt``, which holds
-such lines, each under a ``#`` comment giving its reason, and matches
-them by module, function and text, not by line number.  It exits 1 when
-the suite fails or a never-run statement is missing from that file, so
-the list may only shrink.  Line events differ between Python versions;
-the list is kept on Python 3.11.
+text`` and exits 1 when the suite fails or any statement is never run.
+Line events differ between Python versions; the gate is kept on Python
+3.11.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from collections import defaultdict
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "tqftkit")
-LISTED = os.path.join(ROOT, "tools", "never_run.txt")
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -109,34 +105,15 @@ def never_run(hits: dict[str, set[int]]) -> list[tuple[str, int, str, str]]:
     return out
 
 
-def listed() -> set[tuple[str, str, str]]:
-    """(module, function, text) of each entry of ``tools/never_run.txt``."""
-    entries = set()
-    with open(LISTED, encoding="utf-8") as fh:
-        for row in fh:
-            row = row.strip()
-            if row and not row.startswith("#"):
-                where, rest = row.split(" ", 1)
-                qual, text = rest.split(": ", 1)
-                entries.add((where.rsplit(":", 1)[0], qual, text))
-    return entries
-
-
 def main(argv: list[str]) -> int:
     code, hits = traced_run(argv)
     found = never_run(hits)
-    allowed = listed()
     print(f"\n{len(found)} statement(s) inside tqftkit functions never run")
-    new = 0
     for module, line, qual, text in found:
-        unlisted = (module, qual, text) not in allowed
-        new += unlisted
-        print(f"{module}:{line} {qual}: {text}" + ("   <- not in tools/never_run.txt" if unlisted else ""))
+        print(f"{module}:{line} {qual}: {text}")
     if code:
         print(f"the suite failed under the tracer (pytest exit {code})")
-    if new:
-        print(f"{new} never-run statement(s) missing from tools/never_run.txt")
-    return 1 if code or new else 0
+    return 1 if code or found else 0
 
 
 if __name__ == "__main__":
