@@ -15,6 +15,7 @@ Built-in names for the CLI: ``z2``, ``z3``, ``s3``, ``milnor:d``,
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -189,12 +190,15 @@ def upper_triangular_algebra() -> tuple[int, Matrix, Matrix]:
 # --- CLI registry ----------------------------------------------------------
 
 
+_SPEC_INTEGER = re.compile(r"[+-]?[0-9]+")  # as scalar_from_str reads an integer
+
+
 def _spec_integer(text: str, what: str) -> int:
-    """One integer item of a built-in spec; an empty item is malformed."""
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{what} must be an integer, got {text.strip()!r}") from None
+    """One integer item of a built-in spec, in ASCII digits with an optional
+    sign; an empty item, a space, "_" or another script's digits are malformed."""
+    if not _SPEC_INTEGER.fullmatch(text):
+        raise ValueError(f"{what} must be an integer, got {text!r}")
+    return int(text)
 
 
 def builtin_algebra(name: str) -> FrobeniusAlgebra:
@@ -209,7 +213,7 @@ def builtin_algebra(name: str) -> FrobeniusAlgebra:
     if name.startswith("milnor:"):
         return milnor_ring(_spec_integer(name.split(":", 1)[1], "degree"))
     if name.startswith("center:"):
-        spec = name.split(":", 1)[1].strip()
+        spec = name.split(":", 1)[1]
         if not (spec.startswith("[") and spec.endswith("]")):
             raise ValueError(f"center spec must look like center:[1,2], got {name!r}")
         return matrix_center_algebra([_spec_integer(s, "block size") for s in spec[1:-1].split(",")])

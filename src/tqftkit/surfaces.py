@@ -69,12 +69,14 @@ def frobenius_interpretation(alg: FrobeniusAlgebra) -> Interpretation:
 
 
 def genus_term(genus: int) -> Term:
-    """Canonical closed surface term cap ; (copants ; pants)^g ; cup."""
+    """Canonical closed surface term cap ; (copants ; pants)^g ; cup, whose
+    g handles are one shared ``copants ; pants`` object: g + 6 nodes."""
     if genus < 0:
         raise ValueError("genus must be nonnegative")
+    handle = Compose(Gen("copants"), Gen("pants"))
     t: Term = Gen("cap")
     for _ in range(genus):
-        t = Compose(t, Compose(Gen("copants"), Gen("pants")))
+        t = Compose(t, handle)
     return Compose(t, Gen("cup"))
 
 

@@ -20,6 +20,13 @@ whitespace is insignificant.  Swap arguments of more than one label must
 be parenthesized, since bare commas already separate the two arguments;
 single-label swaps look like ``swap[S1,S1]``.
 
+Parsing costs memory per node, not per token: the lexer's tokens are the
+strings of one ``re.findall``, an offset is found again only for an
+error, equal leaves of one text are one object, and the tokens are
+dropped before the top level's chain is built.  Term nodes are slotted
+and immutable, so a composition or tensor costs its two factor slots and
+its kept type.
+
 Typing, evaluating, rendering (so printing), comparing, hashing and
 pickling extend values on the leaves (generators, identities, swaps)
 along tensors and compositions, each by one ``fold``: a depth-first,
@@ -33,9 +40,11 @@ the text's length.
 
 from __future__ import annotations
 
+import re
 import weakref
 from dataclasses import dataclass
 from functools import reduce
+from itertools import islice
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -123,17 +132,23 @@ def _fmt_path(path: tuple[str, ...]) -> str:
 
 
 class _Node:
-    """Base of the term classes, equal when their structure is.  ``==``,
-    ``hash``, pickling and copying read ``_key``, built by one ``fold``,
-    and ``repr`` the rendered text, so none of them recurses.
+    """Base of the term classes: slotted (no ``__dict__``), immutable, and
+    equal when their structure is.  ``==``, ``hash``, pickling and copying
+    read ``_key``, built by one ``fold``, and ``repr`` the rendered text,
+    so none of them recurses.
 
-    ``_typed`` is ``(weak reference to a signature, (source, target))``,
-    stored by the last successful ``typecheck`` of this node as a root.
-    It takes no part in ``==``, ``hash``, ``repr`` or pickling, and costs
-    nothing at construction (the class attribute holds its default).
+    ``_typed`` is ``None`` or ``(weak reference to a signature, (source,
+    target))``, stored by the last successful ``typecheck`` of this node as
+    a root.  It takes no part in ``==``, ``hash``, ``repr`` or pickling.
     """
 
-    _typed = None
+    __slots__ = ("_typed",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, _Node):
@@ -150,35 +165,58 @@ class _Node:
         return _from_key, (_key(self),)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Gen(_Node):
-    name: str
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        _set_typed(self, None)
+        _set_gen_name(self, name)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Id(_Node):
-    word: ObjectWord
+    __slots__ = __match_args__ = ("word",)
+
+    def __init__(self, word: ObjectWord):
+        _set_typed(self, None)
+        _set_id_word(self, word)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Swap(_Node):
-    left: ObjectWord
-    right: ObjectWord
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: ObjectWord, right: ObjectWord):
+        _set_typed(self, None)
+        _set_swap_left(self, left)
+        _set_swap_right(self, right)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Compose(_Node):
     """Diagrammatic composite: ``first`` then ``then``."""
 
-    first: "Term"
-    then: "Term"
+    __slots__ = __match_args__ = ("first", "then")
+
+    def __init__(self, first: "Term", then: "Term"):
+        _set_typed(self, None)
+        _set_compose_first(self, first)
+        _set_compose_then(self, then)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Tensor(_Node):
-    left: "Term"
-    right: "Term"
+    __slots__ = __match_args__ = ("left", "right")
 
+    def __init__(self, left: "Term", right: "Term"):
+        _set_typed(self, None)
+        _set_tensor_left(self, left)
+        _set_tensor_right(self, right)
+
+
+# the slots' own setters, which the blocked __setattr__ leaves usable
+_set_typed = _Node._typed.__set__
+_set_gen_name = Gen.name.__set__
+_set_id_word = Id.word.__set__
+_set_swap_left, _set_swap_right = Swap.left.__set__, Swap.right.__set__
+_set_compose_first, _set_compose_then = Compose.first.__set__, Compose.then.__set__
+_set_tensor_left, _set_tensor_right = Tensor.left.__set__, Tensor.right.__set__
 
 # a union object, not typing.Union, whose global cache would keep every
 # reloaded copy of these classes (and this module's globals) alive
@@ -344,7 +382,7 @@ def _from_key(key: tuple) -> Term:
 
 def _key_leaf(t: Term, key: list) -> None:
     kind = type(t)
-    key.append((kind, *[getattr(t, name) for name in kind.__match_args__]))  # its dataclass fields
+    key.append((kind, *[getattr(t, name) for name in kind.__match_args__]))  # its fields
 
 
 def typecheck(t: Term, sig: Signature) -> tuple[ObjectWord, ObjectWord]:
@@ -357,11 +395,14 @@ def typecheck(t: Term, sig: Signature) -> tuple[ObjectWord, ObjectWord]:
     A failing typecheck keeps nothing.  A signature is never changed
     after construction, which is what makes the kept answer valid.
     """
-    typed = getattr(t, "_typed", None)
+    try:
+        typed = t._typed
+    except AttributeError:  # no term, which fold refuses
+        typed = None
     if typed is not None and typed[0]() is sig:
         return typed[1]
     types = fold(t, _type_leaf, _type_combine, (sig, t))
-    object.__setattr__(t, "_typed", (weakref.ref(sig), types))
+    _set_typed(t, (weakref.ref(sig), types))
     return types
 
 
@@ -414,124 +455,131 @@ def _path_combine(t: Term, first, second, node: Term) -> list[str] | None:
 
 # --- lexer -----------------------------------------------------------------
 
-_PUNCT = {";", "*", "(", ")", "[", "]", ","}
+# a token is a punctuation mark, the empty word "1", a name, or any other
+# character that is no space, which _lex refuses; "" ends the list
+_TOKEN = re.compile(r"[;*()\[\],1]|[^\W\d]\w*|\S")
+_SYMBOLS = frozenset([";", "*", "(", ")", "[", "]", ",", "1", ""])  # the tokens that are no name
 
 
-def _lex(text: str) -> list[tuple[str, str, int]]:
-    """The (kind, value, offset) tokens of ``text``; kinds: NAME, ONE, punct, END."""
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in _PUNCT:
-            tokens.append((ch, ch, i))
-            i += 1
-        elif ch == "1":
-            tokens.append(("ONE", "1", i))
-            i += 1
-        elif ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("NAME", text[i:j], i))
-            i = j
-        else:
-            raise LexicalError(i, f"unexpected character {ch!r}")
-    tokens.append(("END", "", n))
+def _lex(text: str) -> list[str]:
+    """The tokens of ``text`` as strings, then ``""`` for the end; raises
+    LexicalError at the first character that starts no token.  A name
+    starts with a letter or "_"; the pattern's first name character also
+    admits numerals such as "²", so this checks ``str.isalpha``, once per
+    distinct token."""
+    tokens = _TOKEN.findall(text)
+    bad = {tok for tok in set(tokens) - _SYMBOLS if not (tok[0].isalpha() or tok[0] == "_")}
+    if bad:
+        pos = next(pos for pos, tok in enumerate(tokens) if tok in bad)
+        raise LexicalError(_offset(text, pos), f"unexpected character {tokens[pos][0]!r}")
+    tokens.append("")
     return tokens
+
+
+def _offset(text: str, pos: int) -> int:
+    """The offset of token ``pos`` of ``text``, found afresh: tokens keep none."""
+    found = next(islice(_TOKEN.finditer(text), pos, None), None)
+    return len(text) if found is None else found.start()
+
+
+def _parse_error(text: str, tokens: list[str], pos: int, expected: Sequence[str]) -> ParseError:
+    tok = tokens[pos]
+    return ParseError(_offset(text, pos), expected, repr(tok) if tok else "end of input")
+
+
+def _expect(text: str, tokens: list[str], pos: int, tok: str) -> int:
+    """The position after ``tokens[pos]``, which must be ``tok``."""
+    if tokens[pos] != tok:
+        raise _parse_error(text, tokens, pos, (tok,))
+    return pos + 1
+
+
+def _word(text: str, tokens: list[str], pos: int) -> tuple[ObjectWord, int]:
+    """The objword at ``pos`` and the position after it."""
+    if tokens[pos] == "1":
+        return (), pos + 1
+    start = pos
+    while True:
+        if tokens[pos] in _SYMBOLS:
+            raise _parse_error(text, tokens, pos, ("NAME",))
+        if tokens[pos + 1] != ",":
+            return tuple(tokens[start:pos + 1:2]), pos + 1  # the labels between the commas
+        pos += 2
+
+
+def _swapword(text: str, tokens: list[str], pos: int) -> tuple[ObjectWord, int]:
+    """The swapword at ``pos`` and the position after it."""
+    tok = tokens[pos]
+    if tok == "(":
+        word, pos = _word(text, tokens, pos + 1)
+        return word, _expect(text, tokens, pos, ")")
+    if tok == "1":
+        return (), pos + 1
+    if tok in _SYMBOLS:
+        raise _parse_error(text, tokens, pos, ("NAME",))
+    return (tok,), pos + 1
 
 
 def _parse(text: str) -> Term:
     """The term ``text`` denotes, without recursion: precedence climbing on
     explicit stacks, per open parenthesis the ';' operands and the '*'
-    operands of the last."""
+    operands of the last.  Equal leaves are one object."""
     tokens = _lex(text)
+    leaves: dict = {}  # per name its Gen, per (Id, word) and (Swap, left, right) its leaf
     pos = 0
-
-    def take(*kinds):
-        # the next token, which must be of one of kinds
-        nonlocal pos
-        tok = tokens[pos]
-        if tok[0] not in kinds:
-            raise ParseError(tok[2], kinds, _describe(tok))
-        pos += 1
-        return tok
-
-    def objword() -> ObjectWord:
-        nonlocal pos
-        if tokens[pos][0] == "ONE":
-            pos += 1
-            return ()
-        labels = [take("NAME")[1]]
-        while tokens[pos][0] == ",":
-            pos += 1
-            labels.append(take("NAME")[1])
-        return tuple(labels)
-
-    def swapword() -> ObjectWord:
-        nonlocal pos
-        kind = tokens[pos][0]
-        if kind == "ONE":
-            pos += 1
-            return ()
-        if kind == "(":
-            pos += 1
-            word = objword()
-            take(")")
-            return word
-        return (take("NAME")[1],)
-
     levels: list[tuple[list, list]] = [([], [])]
     while True:
-        while tokens[pos][0] == "(":
-            pos += 1
+        tok = tokens[pos]
+        while tok == "(":
             levels.append(([], []))
-        # only a NAME matches: '(' was read above, and 'id[' and 'swap[' start with one
-        name = take("NAME", "'id['", "'swap['", "'('")[1]
-        if name == "id":
-            take("[")
-            atom = Id(objword())
-            take("]")
-        elif name == "swap":
-            take("[")
-            left = swapword()
-            take(",")
-            atom = Swap(left, swapword())
-            take("]")
-        else:
-            atom = Gen(name)
-        levels[-1][1].append(atom)
-        while tokens[pos][0] == ")" and len(levels) > 1:
             pos += 1
+            tok = tokens[pos]
+        if tok in _SYMBOLS:
+            raise _parse_error(text, tokens, pos, ("NAME", "'id['", "'swap['", "'('"))
+        pos += 1
+        if tok == "id":
+            word, pos = _word(text, tokens, _expect(text, tokens, pos, "["))
+            pos = _expect(text, tokens, pos, "]")
+            key = Id, word
+            atom = leaves.get(key)
+            if atom is None:
+                atom = leaves[key] = Id(word)
+        elif tok == "swap":
+            left, pos = _swapword(text, tokens, _expect(text, tokens, pos, "["))
+            right, pos = _swapword(text, tokens, _expect(text, tokens, pos, ","))
+            pos = _expect(text, tokens, pos, "]")
+            key = Swap, left, right
+            atom = leaves.get(key)
+            if atom is None:
+                atom = leaves[key] = Swap(left, right)
+        else:
+            atom = leaves.get(tok)
+            if atom is None:
+                atom = leaves[tok] = Gen(tok)
+        levels[-1][1].append(atom)
+        tok = tokens[pos]
+        while tok == ")" and len(levels) > 1:
             inner = _bracket_term(*levels.pop())
             levels[-1][1].append(inner)
-        tok = tokens[pos]
-        pos += 1
-        if tok[0] == ";":
+            pos += 1
+            tok = tokens[pos]
+        if tok == ";":
             composed, tensored = levels[-1]
             composed.append(reduce(Tensor, tensored))
             tensored.clear()
-        elif tok[0] != "*":
+        elif tok != "*":
             break
+        pos += 1
     if len(levels) > 1:
-        raise ParseError(tok[2], [")"], _describe(tok))
-    if tok[0] != "END":
-        raise ParseError(tok[2], ["';'", "'*'", "end of input"], _describe(tok))
+        raise _parse_error(text, tokens, pos, (")",))
+    if tok:
+        raise _parse_error(text, tokens, pos, ("';'", "'*'", "end of input"))
+    del tokens  # the top level's chain is most of a long term: build it without them
     return _bracket_term(*levels[0])
 
 
 def _bracket_term(composed: list, tensored: list) -> Term:
     return reduce(Compose, composed + [reduce(Tensor, tensored)])
-
-
-def _describe(tok) -> str:
-    kind, value, _ = tok
-    if kind == "END":
-        return "end of input"
-    return f"{value!r}"
 
 
 def parse_term(text: str, sig: Signature) -> Term:

@@ -284,6 +284,16 @@ class TestErrorDiagnostics:
         ("milnor:", "degree must be an integer, got ''"),
         ("center:[0]", "block sizes must be positive"),
         ("center:1", "center spec must look like center:[1,2], got 'center:1'"),
+        # only ASCII digits, as scalar text: no other script, space or "_",
+        # and no space around a center spec's brackets
+        ("milnor:\u0663", "degree must be an integer, got '\u0663'"),
+        ("milnor: 3", "degree must be an integer, got ' 3'"),
+        ("milnor:3 ", "degree must be an integer, got '3 '"),
+        ("center:[1_0]", "block size must be an integer, got '1_0'"),
+        ("center:[1, 2]", "block size must be an integer, got ' 2'"),
+        ("center:[\uff12]", "block size must be an integer, got '\uff12'"),
+        ("center: [1,2]", "center spec must look like center:[1,2], got 'center: [1,2]'"),
+        ("center:[1,2] ", "center spec must look like center:[1,2], got 'center:[1,2] '"),
     ])
     def test_malformed_builtin_spec(self, capout, spec, message):
         code, out, err = capout("invariant", "--algebra", spec, "--genus", "1")

@@ -19,9 +19,12 @@ and the evaluator that built every identity and tensor as a matrix at
 its node is the oracle for leg-wise evaluation.  The index
 loops that ``validate_fusion_ring`` and ``grothendieck_frobenius`` ran
 before the ring laws were read off the circle relations are the oracle
-for the fusion-ring reports and commutativity witnesses.
+for the fusion-ring reports and commutativity witnesses.  The lexer of
+``(kind, value, offset)`` tuples and its parser, which built every leaf
+afresh, are the oracle for the parser of string tokens and shared leaves.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -33,7 +36,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import dense, eleven_algebras, enumerate_terms, random_term, term_with_source
+from conftest import dense, eleven_algebras, enumerate_terms, parser_signature, random_term, term_with_source
 from test_exactlin import reference_inverse, reference_kron, reference_reduce
 from test_frobenius import invalid_morphisms, valid_morphisms
 from tqftkit import dualpairs, evaluate, exactlin, frobenius, terms
@@ -92,7 +95,19 @@ from tqftkit.fusion import (
     vec_z,
 )
 from tqftkit.surfaces import bord2_signature, frobenius_interpretation
-from tqftkit.terms import Compose, Gen, Id, Signature, Swap, Tensor, parse_term, render_term, typecheck
+from tqftkit.terms import (
+    Compose,
+    Gen,
+    Id,
+    LexicalError,
+    ParseError,
+    Signature,
+    Swap,
+    Tensor,
+    parse_term,
+    render_term,
+    typecheck,
+)
 
 
 # --- references ------------------------------------------------------------
@@ -1294,3 +1309,162 @@ def test_the_ring_cases_reach_every_rule():
         "nonnegative-integer", "left-unit", "right-unit", "associativity",
         "unit-self-dual", "dual-range", "dual-involution", "duality",
     }
+
+
+# --- the parser ------------------------------------------------------------
+
+
+def reference_lex(text):
+    """The ``(kind, value, offset)`` tokens of ``text``; kinds: NAME, ONE,
+    punctuation, END."""
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in ";*()[],":
+            tokens.append((ch, ch, i))
+            i += 1
+        elif ch == "1":
+            tokens.append(("ONE", "1", i))
+            i += 1
+        elif ch.isalpha() or ch == "_":
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("NAME", text[i:j], i))
+            i = j
+        else:
+            raise LexicalError(i, f"unexpected character {ch!r}")
+    tokens.append(("END", "", n))
+    return tokens
+
+
+def reference_parse(text):
+    """The parser of tuple tokens, which builds a new object for every leaf."""
+    tokens = reference_lex(text)
+    pos = 0
+
+    def describe(tok):
+        return "end of input" if tok[0] == "END" else repr(tok[1])
+
+    def take(*kinds):
+        nonlocal pos
+        tok = tokens[pos]
+        if tok[0] not in kinds:
+            raise ParseError(tok[2], kinds, describe(tok))
+        pos += 1
+        return tok
+
+    def objword():
+        nonlocal pos
+        if tokens[pos][0] == "ONE":
+            pos += 1
+            return ()
+        labels = [take("NAME")[1]]
+        while tokens[pos][0] == ",":
+            pos += 1
+            labels.append(take("NAME")[1])
+        return tuple(labels)
+
+    def swapword():
+        nonlocal pos
+        kind = tokens[pos][0]
+        if kind == "ONE":
+            pos += 1
+            return ()
+        if kind == "(":
+            pos += 1
+            word = objword()
+            take(")")
+            return word
+        return (take("NAME")[1],)
+
+    def bracket(composed, tensored):
+        return functools.reduce(Compose, composed + [functools.reduce(Tensor, tensored)])
+
+    levels = [([], [])]
+    while True:
+        while tokens[pos][0] == "(":
+            pos += 1
+            levels.append(([], []))
+        name = take("NAME", "'id['", "'swap['", "'('")[1]
+        if name == "id":
+            take("[")
+            atom = Id(objword())
+            take("]")
+        elif name == "swap":
+            take("[")
+            left = swapword()
+            take(",")
+            atom = Swap(left, swapword())
+            take("]")
+        else:
+            atom = Gen(name)
+        levels[-1][1].append(atom)
+        while tokens[pos][0] == ")" and len(levels) > 1:
+            pos += 1
+            inner = bracket(*levels.pop())
+            levels[-1][1].append(inner)
+        tok = tokens[pos]
+        pos += 1
+        if tok[0] == ";":
+            composed, tensored = levels[-1]
+            composed.append(functools.reduce(Tensor, tensored))
+            tensored.clear()
+        elif tok[0] != "*":
+            break
+    if len(levels) > 1:
+        raise ParseError(tok[2], [")"], describe(tok))
+    if tok[0] != "END":
+        raise ParseError(tok[2], ["';'", "'*'", "end of input"], describe(tok))
+    return bracket(*levels[0])
+
+
+def parse_outcome(parse, text):
+    """The term ``parse`` reads from ``text``, or its error's class, offset and message."""
+    try:
+        return parse(text)
+    except (LexicalError, ParseError) as exc:
+        return type(exc), exc.offset, str(exc)
+
+
+# the DSL's tokens and a few names, and characters the lexer must tell apart:
+# a letter, digits of other scripts, numerals that are no letters (\w but no
+# name start), two Unicode spaces, a symbol and a number
+PARSER_PIECES = [
+    "cap", "cup", "pants", "copants", "S1", "x", "id", "swap", "id[", "swap[",
+    "(", ")", "[", "]", ",", ";", "*", "1", " ",
+    "é", "_1", "²", "١", "Ⅳ", "\u00a0", "\u2003", "$", "12",
+]
+
+
+@st.composite
+def spliced_terms(draw):
+    """The text of a random term of the parser signature, which repeats
+    leaves, with up to two pieces spliced in anywhere."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    text = render_term(random_term(rng, parser_signature(), draw(st.integers(1, 5))))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(PARSER_PIECES)) + text[at:]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.lists(st.sampled_from(PARSER_PIECES), max_size=24).map("".join),
+    st.text(st.sampled_from("".join(PARSER_PIECES)), max_size=30),
+    spliced_terms(),
+))
+def test_parser_matches_the_reference_parser(text):
+    got = parse_outcome(terms._parse, text)
+    assert got == parse_outcome(reference_parse, text)
+    if isinstance(got, tuple):
+        return
+    leaves = []
+    terms.fold(got, lambda leaf, out: out.append(leaf), lambda *_: None, leaves)
+    # equal leaves of one text are one object
+    assert len({id(leaf) for leaf in leaves}) == len(set(leaves))

@@ -1,5 +1,7 @@
 """Circle signature, surface invariants, connected sums, reduction."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -27,7 +29,7 @@ from tqftkit.surfaces import (
     reduce_along_circle,
     surface_invariant,
 )
-from tqftkit.terms import Gen, parse_term, typecheck
+from tqftkit.terms import Compose, Gen, parse_term, render_term, typecheck
 
 
 def forced_interpretation(alg):
@@ -78,6 +80,28 @@ class TestSignature:
         sig = bord2_signature()
         for g in range(4):
             assert typecheck(genus_term(g), sig) == ((), ())
+
+    def test_genus_term_shares_one_handle(self):
+        t = genus_term(1000)
+        seen, stack = set(), [t]  # ids of the distinct node objects
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                if type(node) is Compose:
+                    stack += (node.first, node.then)
+        # cap, 1000 spine compositions, one copants ; pants with its two
+        # generators, the last composition and cup
+        assert len(seen) == 1000 + 6
+        unshared = Gen("cap")
+        for _ in range(1000):
+            unshared = Compose(unshared, Compose(Gen("copants"), Gen("pants")))
+        unshared = Compose(unshared, Gen("cup"))
+        assert t == unshared and hash(t) == hash(unshared)
+        assert render_term(t) == render_term(unshared)
+        assert pickle.loads(pickle.dumps(t)) == unshared and copy.deepcopy(t) == unshared
+        interp = frobenius_interpretation(group_algebra(cyclic_group(2)))
+        assert eval_term(t, interp) == eval_term(unshared, interp) == Matrix.scalar(2**1000)
 
 
 class TestInterpretation:

@@ -90,6 +90,9 @@ class TestFold:
         for walk in walks:
             with pytest.raises(TypeError, match="not a term"):
                 walk(Compose(Gen("cap"), "cup"))
+        for walk in walks[:3]:
+            with pytest.raises(TypeError, match="not a term"):
+                walk("cup")
 
     def test_render_parenthesizes_exactly_where_the_grammar_needs(self):
         sig = bord2_signature()
